@@ -36,7 +36,6 @@ from .env_graph import (
     ScenarioConfig,
     SeenObject,
     Waypoint,
-    load_scenario,
     load_scenario_path,
     parse_scenario,
     serialize_scenario,
@@ -52,7 +51,6 @@ from .llm_gateway import (
 from .metrics import (
     BatchReport,
     build_report,
-    ideal_length,
     path_efficiency,
     spl,
     spl_term,
@@ -63,8 +61,6 @@ from .planner import (
     SearchPlan,
     WaypointScores,
     path_cost,
-    plan_bounded,
-    plan_exhaustive,
     plan_optimal,
     waypoint_scores,
 )

@@ -93,7 +93,11 @@ def run_batch(cfg: ScenarioConfig, method: str, trials: int, seed: int, *,
               planner_config: PlannerConfig | None = None,
               params: SimulationParams | None = None,
               pairs: list[tuple[str, str]] | None = None) -> BatchReport:
-    """Run `trials` episodes of one method; failures are recorded, not raised."""
+    """Run `trials` episodes of one method; failures are recorded, not raised.
+
+    A trial that raises is written as an error row and counts as a failed
+    attempt in SR and SPL.
+    """
     if method not in METHODS:
         raise ValueError(f"unrecognized method {method!r}; expected one of {METHODS}")
     env = cfg.env
@@ -126,17 +130,7 @@ def run_batch(cfg: ScenarioConfig, method: str, trials: int, seed: int, *,
                 error=f"{type(exc).__name__}: {exc}",
             ))
 
-    if results:
-        report = metrics.build_report(method, results, rows_info)
-    else:
-        report = BatchReport(method=method, episodes=0, sr=0.0, spl=0.0, pe_mean=0.0,
-                             pe_std=0.0, pe_excluded=0, rows=tuple())
-    if error_rows:
-        rows = tuple(sorted(report.rows + tuple(error_rows), key=lambda r: r.trial))
-        report = BatchReport(method=report.method, episodes=report.episodes, sr=report.sr,
-                             spl=report.spl, pe_mean=report.pe_mean, pe_std=report.pe_std,
-                             pe_excluded=report.pe_excluded, rows=rows)
-    return report
+    return metrics.build_report(method, results, rows_info, tuple(error_rows))
 
 
 def run_bench(cfg: ScenarioConfig, methods, trials: int, seed: int, *,
@@ -191,8 +185,6 @@ def _planner_config(args) -> PlannerConfig:
     kwargs = {}
     if getattr(args, "score_weight", None) is not None:
         kwargs["score_weight"] = args.score_weight
-    if getattr(args, "exhaustive_limit", None) is not None:
-        kwargs["exhaustive_limit"] = args.exhaustive_limit
     if getattr(args, "normalizer", None) is not None:
         kwargs["distance_normalizer"] = args.normalizer
     return PlannerConfig(**kwargs)
@@ -312,8 +304,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache", default=None, help="response cache file for the llm scorer")
     p.add_argument("--lambda", dest="score_weight", type=float, default=None,
                    help="score weight in the plan cost (default 1.0)")
-    p.add_argument("--limit", dest="exhaustive_limit", type=int, default=None,
-                   help="max scored waypoints for exhaustive planning (default 9)")
     p.add_argument("--normalizer", choices=("max_pairwise", "none"), default=None,
                    help="leg distance normalization (default max_pairwise)")
 

@@ -386,12 +386,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
                           room_scores=room_scores, embeddings=embeddings)
 
 
-def load_scenario(text: str) -> tuple[Environment, GroundTruth, SimulationParams]:
-    """Parse a scenario document into its core triple."""
-    cfg = parse_scenario(text)
-    return cfg.env, cfg.truth, cfg.params
-
-
 def load_scenario_path(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scenario(fh.read())

@@ -9,12 +9,17 @@ from dataclasses import dataclass
 from .search_sim import EpisodeResult, Outcome
 
 
-def success_rate(results: list[EpisodeResult]) -> float:
-    """Fraction of episodes ending FOUND; every other outcome is a failure."""
-    if not results:
+def success_rate(results: list[EpisodeResult], attempts: int | None = None) -> float:
+    """Fraction of attempts ending FOUND; every other outcome is a failure.
+
+    `attempts` defaults to len(results); attempts beyond the results are
+    trials that errored and count as failures.
+    """
+    attempts = len(results) if attempts is None else attempts
+    if not attempts:
         raise ValueError("empty result batch")
     found = sum(1 for r in results if r.outcome is Outcome.FOUND)
-    return found / len(results)
+    return found / attempts
 
 
 def spl_term(result: EpisodeResult) -> float:
@@ -28,10 +33,12 @@ def spl_term(result: EpisodeResult) -> float:
     return success * p_s / max(p_i, p_s)
 
 
-def spl(results: list[EpisodeResult]) -> float:
-    if not results:
+def spl(results: list[EpisodeResult], attempts: int | None = None) -> float:
+    """Mean SPL term over attempts; errored trials beyond the results add 0."""
+    attempts = len(results) if attempts is None else attempts
+    if not attempts:
         raise ValueError("empty result batch")
-    return math.fsum(spl_term(r) for r in results) / len(results)
+    return math.fsum(spl_term(r) for r in results) / attempts
 
 
 def path_efficiency(result: EpisodeResult) -> float:
@@ -46,12 +53,6 @@ def path_efficiency(result: EpisodeResult) -> float:
 
 def pe_defined(result: EpisodeResult) -> bool:
     return result.ideal_length > 0 and result.traversed_length > 0
-
-
-def ideal_length(env, start: str, truth) -> float:
-    """Shortest-path distance from the start to the target's host waypoint."""
-    host = env.objects[truth.host_object]
-    return env.distance(start, host.waypoint)
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,18 @@ class BatchReport:
     spl: float
     pe_mean: float
     pe_std: float
-    pe_excluded: int       # episodes with an undefined path ratio
+    pe_excluded: int       # episodes without a path ratio: undefined or errored
     rows: tuple[EpisodeRow, ...]
 
 
-def build_report(method: str, results: list[EpisodeResult],
-                 rows_info: list[dict]) -> BatchReport:
-    """Aggregate a batch; rows_info carries per-episode sampling context."""
-    rows = []
+def build_report(method: str, results: list[EpisodeResult], rows_info: list[dict],
+                 error_rows: tuple[EpisodeRow, ...] = ()) -> BatchReport:
+    """Aggregate a batch over every attempted trial.
+
+    rows_info carries per-episode sampling context. error_rows are the trials
+    that raised: each is a failed attempt in SR and SPL and has no PE.
+    """
+    rows = list(error_rows)
     pe_values = []
     for index, (result, info) in enumerate(zip(results, rows_info)):
         pe = path_efficiency(result) if pe_defined(result) else None
@@ -112,15 +117,16 @@ def build_report(method: str, results: list[EpisodeResult],
     pe_mean = math.fsum(pe_values) / len(pe_values) if pe_values else 0.0
     # Population standard deviation: deterministic and well defined for N=1.
     pe_std = math.sqrt(math.fsum((v - pe_mean) ** 2 for v in pe_values) / len(pe_values)) if pe_values else 0.0
+    attempts = len(results) + len(error_rows)
     return BatchReport(
         method=method,
-        episodes=len(results),
-        sr=success_rate(results),
-        spl=spl(results),
+        episodes=attempts,
+        sr=success_rate(results, attempts) if attempts else 0.0,
+        spl=spl(results, attempts) if attempts else 0.0,
         pe_mean=pe_mean,
         pe_std=pe_std,
-        pe_excluded=len(results) - len(pe_values),
-        rows=tuple(rows),
+        pe_excluded=attempts - len(pe_values),
+        rows=tuple(sorted(rows, key=lambda r: r.trial)),
     )
 
 

@@ -30,8 +30,7 @@ from semsearch.planner import (
     PlannerConfig,
     WaypointScores,
     path_cost,
-    plan_bounded,
-    plan_exhaustive,
+    plan_optimal,
     waypoint_scores,
 )
 from semsearch.search_sim import EpisodeResult, Outcome, PerceptionModel, SimulationParams, run_episode
@@ -119,12 +118,9 @@ def test_criterion_03_planner_oracle():
         norm = env.max_pairwise_distance or 1.0
         oracle_cost, oracle_seq = best_permutation(env.distance, start, chosen,
                                                    scores.scores, config.score_weight, norm)
-        exhaustive = plan_exhaustive(env, start, scores, config)
-        assert exhaustive.cost == oracle_cost
-        assert exhaustive.sequence == oracle_seq
-        bounded = plan_bounded(env, start, scores, config)
-        assert bounded.sequence == exhaustive.sequence
-        assert bounded.cost == exhaustive.cost
+        plan = plan_optimal(env, start, scores, config)
+        assert plan.cost == oracle_cost
+        assert plan.sequence == oracle_seq
     assert time.perf_counter() - started < 30.0
 
 
@@ -145,7 +141,7 @@ def test_criterion_04_cost_hand_cases():
         [("s", 0, 0), ("a", 1, 0), ("b", 0, 1)],
         [("s", "a", 1.0), ("s", "b", 1.0), ("a", "b", 1.0)],
     )
-    plan = plan_exhaustive(tie_env, "s", WaypointScores({"a": 0.5, "b": 0.5}, 1.0), config)
+    plan = plan_optimal(tie_env, "s", WaypointScores({"a": 0.5, "b": 0.5}, 1.0), config)
     assert plan.sequence == ("a", "b")
 
 
@@ -196,7 +192,7 @@ def test_criterion_06_termination():
     dist = score_distribution(TableScorer(cfg.scorer.table), cfg.env.labels(), "drill")
     scores = waypoint_scores(cfg.env, dist)
     assert "w5" not in scores.positive()  # the host waypoint carries no probability
-    plan = plan_exhaustive(cfg.env, "s", scores)
+    plan = plan_optimal(cfg.env, "s", scores)
     result = run_episode(cfg.env, plan, cfg.truth, SimulationParams(seed=1))
     assert result.outcome is Outcome.LOST
     consumed = result.steps[-1].consumed

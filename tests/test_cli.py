@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from semsearch.cli import main
+from semsearch.affinity import TableScorer
+from semsearch.cli import main, run_batch, sample_pairs
 
-from conftest import FARM_SCENARIO
+from conftest import FARM_SCENARIO, REPO_ROOT
 
 
 def run_cli(*argv):
@@ -64,10 +68,10 @@ class TestScore:
 
 
 class TestPlan:
-    def test_farm_plan_is_exhaustive_mode(self, capsys):
+    def test_farm_plan_prints_mode_and_cost(self, capsys):
         assert run_cli("plan", "--scenario", str(FARM_SCENARIO), "--start", "hv1") == 0
         out = capsys.readouterr().out
-        assert "mode: exhaustive" in out
+        assert "mode: dp" in out
         assert "total cost:" in out
 
     def test_single_scored_waypoint(self, tmp_path, capsys):
@@ -85,7 +89,7 @@ class TestPlan:
         assert out.count("\n   1 ") == 1
         assert "w2" in out
 
-    def test_ten_scored_waypoints_use_bounded_mode(self, tmp_path, capsys):
+    def test_ten_scored_waypoints_on_a_line_sweep(self, tmp_path, capsys):
         # a line of ten uniform-score waypoints: the optimal order is the sweep
         n = 10
         doc = {
@@ -100,7 +104,6 @@ class TestPlan:
         path.write_text(json.dumps(doc))
         assert run_cli("plan", "--scenario", str(path), "--start", "w00") == 0
         out = capsys.readouterr().out
-        assert "mode: bounded" in out
         # uniform scores on a line: the nearest-first sweep is the optimum
         order = [line.split()[1] for line in out.splitlines()
                  if line.strip() and line.split()[0].isdigit()]
@@ -139,6 +142,37 @@ class TestRun:
                        "--trials", "4", "--out", str(out_dir)) == 0
         rows = read_csv(out_dir / "episodes.csv")
         assert all(r["error"] == "" for r in rows)
+
+
+class TestRunBatch:
+    def test_errored_trials_count_as_failed_attempts(self, farm_cfg):
+        pairs = sample_pairs(farm_cfg.env, 4, 3)
+        pairs[1] = (pairs[1][0], "obj-missing")
+        pairs[2] = (pairs[2][0], "obj-missing")
+        report = run_batch(farm_cfg, "losae", 4, 3, pairs=pairs,
+                           affinity_scorer=TableScorer(farm_cfg.scorer.table))
+        assert [row.trial for row in report.rows] == [0, 1, 2, 3]
+        errors = [row for row in report.rows if row.error]
+        assert [row.trial for row in errors] == [1, 2]
+        assert all(row.outcome == "error" and row.spl_term == 0.0 and row.pe is None
+                   for row in errors)
+        assert report.episodes == 4
+        found = sum(row.outcome == "found" for row in report.rows)
+        assert found >= 1
+        assert report.sr == found / 4
+        assert report.spl == math.fsum(row.spl_term for row in report.rows) / 4
+        pes = [row.pe for row in report.rows if row.pe is not None]
+        assert report.pe_excluded == 4 - len(pes)
+        assert report.pe_mean == math.fsum(pes) / len(pes)
+
+
+class TestModuleEntry:
+    def test_python_m_semsearch_help(self):
+        proc = subprocess.run([sys.executable, "-m", "semsearch", "--help"],
+                              cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert "usage: semsearch" in proc.stdout
 
 
 class TestBench:

@@ -8,7 +8,6 @@ from semsearch.env_graph import (
     ScenarioParseError,
     ScenarioValidationError,
     UnknownWaypointError,
-    load_scenario,
     parse_scenario,
     serialize_scenario,
 )
@@ -30,93 +29,93 @@ def minimal_doc(**overrides):
 
 class TestLoadScenario:
     def test_single_edge_graph(self):
-        env, truth, params = load_scenario(json.dumps(minimal_doc()))
-        assert env.distance("w1", "w2") == 3.0
-        assert truth.target_label == "drill"
-        assert params.seed == 0
+        cfg = parse_scenario(json.dumps(minimal_doc()))
+        assert cfg.env.distance("w1", "w2") == 3.0
+        assert cfg.truth.target_label == "drill"
+        assert cfg.params.seed == 0
 
     def test_unknown_waypoint_reference_names_entity(self):
         doc = minimal_doc(edges=[{"a": "w1", "b": "w9", "length": 1.0}])
         with pytest.raises(ScenarioValidationError, match="w9"):
-            load_scenario(json.dumps(doc))
+            parse_scenario(json.dumps(doc))
 
     def test_farm_scenario(self):
-        env, truth, params = load_scenario(FARM_SCENARIO.read_text())
-        assert len(env.waypoints) == 20
-        assert set(env.rooms) == {"tool storage", "water station", "wash station", "harvest station"}
-        assert truth.host_object in env.objects
+        cfg = parse_scenario(FARM_SCENARIO.read_text())
+        assert len(cfg.env.waypoints) == 20
+        assert set(cfg.env.rooms) == {"tool storage", "water station", "wash station", "harvest station"}
+        assert cfg.truth.host_object in cfg.env.objects
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ScenarioParseError, match="bogus"):
-            load_scenario(json.dumps(minimal_doc(bogus=1)))
+            parse_scenario(json.dumps(minimal_doc(bogus=1)))
 
     def test_unknown_nested_key_rejected(self):
         doc = minimal_doc()
         doc["waypoints"][0]["z"] = 4.0
         with pytest.raises(ScenarioParseError, match="z"):
-            load_scenario(json.dumps(doc))
+            parse_scenario(json.dumps(doc))
 
     def test_malformed_json(self):
         with pytest.raises(ScenarioParseError):
-            load_scenario("{not json")
+            parse_scenario("{not json")
 
     def test_duplicate_waypoint_id(self):
         doc = minimal_doc()
         doc["waypoints"].append({"id": "w1", "x": 1.0, "y": 1.0})
         with pytest.raises(ScenarioValidationError, match="w1"):
-            load_scenario(json.dumps(doc))
+            parse_scenario(json.dumps(doc))
 
     def test_nonpositive_edge_length(self):
         doc = minimal_doc(edges=[{"a": "w1", "b": "w2", "length": 0.0}])
         with pytest.raises(ScenarioValidationError, match="w1"):
-            load_scenario(json.dumps(doc))
+            parse_scenario(json.dumps(doc))
 
     def test_self_loop_rejected(self):
         doc = minimal_doc(edges=[{"a": "w1", "b": "w1", "length": 1.0},
                                  {"a": "w1", "b": "w2", "length": 3.0}])
         with pytest.raises(ScenarioValidationError, match="self-loop"):
-            load_scenario(json.dumps(doc))
+            parse_scenario(json.dumps(doc))
 
     def test_disconnected_graph_rejected(self):
         doc = minimal_doc()
         doc["waypoints"].append({"id": "w3", "x": 9.0, "y": 9.0})
         with pytest.raises(ScenarioValidationError, match="w3"):
-            load_scenario(json.dumps(doc))
+            parse_scenario(json.dumps(doc))
 
     def test_duplicate_instance_id(self):
         doc = minimal_doc()
         doc["objects"].append({"instance_id": "obj-1", "label": "rake", "waypoint": "w2"})
         with pytest.raises(ScenarioValidationError, match="obj-1"):
-            load_scenario(json.dumps(doc))
+            parse_scenario(json.dumps(doc))
 
     def test_unknown_host_object(self):
         doc = minimal_doc(ground_truth={"target_label": "drill", "host_object": "obj-9"})
         with pytest.raises(ScenarioValidationError, match="obj-9"):
-            load_scenario(json.dumps(doc))
+            parse_scenario(json.dumps(doc))
 
     def test_room_with_unknown_waypoint(self):
         doc = minimal_doc(rooms=[{"name": "shed", "waypoints": ["w1", "w7"]}])
         with pytest.raises(ScenarioValidationError, match="w7"):
-            load_scenario(json.dumps(doc))
+            parse_scenario(json.dumps(doc))
 
     def test_edge_length_defaults_to_euclidean(self):
         doc = minimal_doc(edges=[{"a": "w1", "b": "w2"}])
-        env, _, _ = load_scenario(json.dumps(doc))
+        env = parse_scenario(json.dumps(doc)).env
         assert env.distance("w1", "w2") == pytest.approx(3.0)
 
     def test_explicit_length_overrides_euclidean(self):
         doc = minimal_doc(edges=[{"a": "w1", "b": "w2", "length": 7.5}])
-        env, _, _ = load_scenario(json.dumps(doc))
+        env = parse_scenario(json.dumps(doc)).env
         assert env.distance("w1", "w2") == 7.5
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ScenarioParseError, match="seed"):
-            load_scenario(json.dumps(minimal_doc(seed=-3)))
+            parse_scenario(json.dumps(minimal_doc(seed=-3)))
 
     def test_perception_rates_validated(self):
         doc = minimal_doc(perception={"true_positive_rate": 1.4, "false_positive_rate": 0.0})
         with pytest.raises(ScenarioValidationError):
-            load_scenario(json.dumps(doc))
+            parse_scenario(json.dumps(doc))
 
 
 class TestDistance:
@@ -202,5 +201,5 @@ class TestRoundTrip:
         env = make_env(waypoints, edges, [("obj-1", "hoe", waypoints[0][0])])
         doc = env.to_document()
         doc["ground_truth"] = {"target_label": "drill", "host_object": "obj-1"}
-        env2, _, _ = load_scenario(json.dumps(doc))
+        env2 = parse_scenario(json.dumps(doc)).env
         assert env2 == env

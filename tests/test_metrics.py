@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from semsearch.env_graph import GroundTruth
 from semsearch.metrics import (
     build_report,
-    ideal_length,
     path_efficiency,
     pe_defined,
     spl,
     spl_term,
     success_rate,
 )
-from semsearch.search_sim import EpisodeResult, Outcome
+from semsearch.planner import SearchPlan
+from semsearch.search_sim import EpisodeResult, Outcome, SimulationParams, run_episode
 
 from conftest import make_env, random_connected_graph
 from oracles import simple_path_distance
@@ -109,6 +109,12 @@ class TestPathEfficiency:
         with pytest.raises(ValueError):
             path_efficiency(episode(Outcome.EXHAUSTED, 0.0, 5.0))
         assert not pe_defined(found(10.0, 0.0))
+
+
+def ideal_length(env, start, truth):
+    """The ideal length run_episode reports, from an empty plan at `start`."""
+    plan = SearchPlan(start=start, sequence=(), cost=0.0, per_step=(), total_mass=0.0)
+    return run_episode(env, plan, truth, SimulationParams()).ideal_length
 
 
 class TestIdealLength:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -6,13 +7,11 @@ import pytest
 
 from semsearch.affinity import AffinityDistribution, ScorerError
 from semsearch.planner import (
+    MAX_SCORED_WAYPOINTS,
     PlannerConfig,
     PlannerError,
-    TooManyWaypointsError,
     WaypointScores,
     path_cost,
-    plan_bounded,
-    plan_exhaustive,
     plan_optimal,
     waypoint_scores,
 )
@@ -107,12 +106,27 @@ class TestPathCost:
         assert better < worse
 
 
+def _normalizer(env, config):
+    return env.max_pairwise_distance if config.distance_normalizer == "max_pairwise" else 1.0
+
+
+def assert_matches_oracle(env, start, scores, config):
+    oracle_cost, oracle_seq = best_permutation(env.distance, start, scores.positive(),
+                                               scores.scores, config.score_weight,
+                                               _normalizer(env, config))
+    plan = plan_optimal(env, start, scores, config)
+    assert plan.sequence == oracle_seq
+    assert plan.cost == oracle_cost
+
+
 class TestPlanExhaustive:
+    """plan_optimal against exhaustive enumeration of every visiting order."""
+
     def test_single_waypoint(self):
         env = symmetric_pair_env()
-        plan = plan_exhaustive(env, "s", WaypointScores({"v1": 1.0}, 1.0), RAW_CFG)
+        plan = plan_optimal(env, "s", WaypointScores({"v1": 1.0}, 1.0), RAW_CFG)
         assert plan.sequence == ("v1",)
-        assert plan.mode == "exhaustive"
+        assert plan.mode == "dp"
 
     def test_equal_scores_nearer_first(self):
         env = make_env(
@@ -122,7 +136,7 @@ class TestPlanExhaustive:
         scores = WaypointScores({"near": 0.5, "far": 0.5}, 1.0)
         oracle_cost, oracle_seq = best_permutation(env.distance, "s", ["near", "far"],
                                                    scores.scores, 1.0, 1.0)
-        plan = plan_exhaustive(env, "s", scores, RAW_CFG)
+        plan = plan_optimal(env, "s", scores, RAW_CFG)
         assert plan.sequence == oracle_seq == ("near", "far")
         assert plan.cost == oracle_cost
 
@@ -131,30 +145,47 @@ class TestPlanExhaustive:
             [("s", 0, 0), ("a", 1, 0), ("b", 0, 1)],
             [("s", "a", 1.0), ("s", "b", 1.0), ("a", "b", 1.0)],
         )
-        plan = plan_exhaustive(env, "s", WaypointScores({"a": 0.5, "b": 0.5}, 1.0), RAW_CFG)
+        plan = plan_optimal(env, "s", WaypointScores({"a": 0.5, "b": 0.5}, 1.0), RAW_CFG)
         assert plan.sequence == ("a", "b")
-
-    def test_limit_directs_to_bounded(self):
-        rng = random.Random(3)
-        waypoints, edges = random_connected_graph(rng, max_nodes=12)
-        while len(waypoints) < 10:
-            waypoints, edges = random_connected_graph(rng, max_nodes=12)
-        env = make_env(waypoints, edges)
-        ids = env.waypoint_ids()[:10]
-        scores = WaypointScores({w: 0.1 for w in ids}, 1.0)
-        with pytest.raises(TooManyWaypointsError, match="plan_bounded"):
-            plan_exhaustive(env, ids[0], scores, PlannerConfig(exhaustive_limit=9))
 
     def test_beats_every_permutation(self):
         rng = random.Random(11)
         for _ in range(10):
             env, start, scores, config = _random_instance(rng, max_scored=6)
-            plan = plan_exhaustive(env, start, scores, config)
-            norm = env.max_pairwise_distance if config.distance_normalizer == "max_pairwise" else 1.0
-            import itertools
+            plan = plan_optimal(env, start, scores, config)
+            norm = _normalizer(env, config)
             for perm in itertools.permutations(scores.positive()):
                 assert plan.cost <= eq3_cost(env.distance, start, perm, scores.scores,
                                              config.score_weight, norm) + 1e-12
+
+    def test_tie_heavy_grids_match_oracle(self):
+        # Integer grid distances and equal scores make many orders tie exactly
+        # in real arithmetic while their partial sums round differently. The
+        # fixed cases are ones where keeping only the rounded-cheaper partial
+        # order per DP state returns a lexicographically larger sequence.
+        configs = [PlannerConfig(), RAW_CFG, PlannerConfig(score_weight=0.5),
+                   PlannerConfig(score_weight=2.0, distance_normalizer="none")]
+        cases = [((4, 4), "g20", ["g00", "g33", "g01", "g32", "g02", "g11"]),
+                 ((3, 4), "g21", ["g21", "g03", "g10", "g02", "g22", "g12", "g01"]),
+                 ((4, 4), "g21", ["g23", "g21", "g00", "g12", "g22", "g32"])]
+        rng = random.Random(1200)
+        for _ in range(40):
+            size = (rng.randint(2, 4), rng.randint(2, 4))
+            ids = _grid_env(*size).waypoint_ids()
+            cases.append((size, rng.choice(ids), rng.sample(ids, rng.randint(2, min(7, len(ids))))))
+        for size, start, chosen in cases:
+            env = _grid_env(*size)
+            scores = WaypointScores({w: 1.0 / len(chosen) for w in chosen}, 1.0)
+            for config in configs:
+                assert_matches_oracle(env, start, scores, config)
+
+
+def _grid_env(width, height):
+    ids = {(x, y): f"g{x}{y}" for x in range(width) for y in range(height)}
+    edges = [(ids[x, y], ids[x + dx, y + dy], 1.0)
+             for (x, y) in ids for dx, dy in ((1, 0), (0, 1))
+             if (x + dx, y + dy) in ids]
+    return make_env([(wid, x, y) for (x, y), wid in ids.items()], edges)
 
 
 def _random_instance(rng, max_scored=7, max_nodes=12):
@@ -175,30 +206,25 @@ def _random_instance(rng, max_scored=7, max_nodes=12):
 
 
 class TestPlanBounded:
+    """plan_optimal up to its size cap."""
+
     def test_matches_exhaustive_on_random_instances(self):
         rng = random.Random(20240818)
         for _ in range(60):
-            env, start, scores, config = _random_instance(rng)
-            exhaustive = plan_exhaustive(env, start, scores, config)
-            bounded = plan_bounded(env, start, scores, config)
-            assert bounded.sequence == exhaustive.sequence
-            assert bounded.cost == exhaustive.cost
+            assert_matches_oracle(*_random_instance(rng))
 
     def test_matches_exhaustive_at_eight_scored(self):
         rng = random.Random(8)
         env, start, scores, config = _random_instance(rng, max_scored=8, max_nodes=12)
         while len(scores.positive()) < 8:
             env, start, scores, config = _random_instance(rng, max_scored=8, max_nodes=12)
-        exhaustive = plan_exhaustive(env, start, scores, config)
-        bounded = plan_bounded(env, start, scores, config)
-        assert bounded.sequence == exhaustive.sequence
-        assert bounded.cost == exhaustive.cost
+        assert_matches_oracle(env, start, scores, config)
 
     def test_single_waypoint(self):
         env = symmetric_pair_env()
-        plan = plan_bounded(env, "s", WaypointScores({"v1": 1.0}, 1.0), RAW_CFG)
-        assert plan.sequence == ("v1",)
-        assert plan.mode == "bounded"
+        plan = plan_optimal(env, "s", WaypointScores({"v2": 1.0}, 1.0))
+        assert plan.sequence == ("v2",)
+        assert plan.cost == 1.0 / env.max_pairwise_distance - 1.0
 
     def test_fifteen_scored_waypoints_complete_quickly(self):
         rng = random.Random(1500)
@@ -212,10 +238,19 @@ class TestPlanBounded:
         total = sum(raws)
         scores = WaypointScores({w: r / total for w, r in zip(ids, raws)}, 1.0)
         started = time.perf_counter()
-        plan = plan_bounded(env, env.waypoint_ids()[0], scores)
+        plan = plan_optimal(env, env.waypoint_ids()[0], scores)
         elapsed = time.perf_counter() - started
         assert sorted(plan.sequence) == sorted(ids)
         assert elapsed < 5.0
+
+    def test_over_cap_is_an_error(self):
+        n = MAX_SCORED_WAYPOINTS + 1
+        env = make_env([(f"w{i:02d}", i, 0) for i in range(n + 1)],
+                       [(f"w{i:02d}", f"w{i + 1:02d}", 1.0) for i in range(n)])
+        scores = WaypointScores({f"w{i:02d}": 1.0 / n for i in range(1, n + 1)}, 1.0)
+        with pytest.raises(PlannerError, match=f"{n} scored waypoints .* cap of "
+                                               f"{MAX_SCORED_WAYPOINTS}"):
+            plan_optimal(env, "w00", scores)
 
 
 class TestPlanProperties:
@@ -224,31 +259,22 @@ class TestPlanProperties:
         for _ in range(10):
             env, start, scores, _ = _random_instance(rng, max_scored=5)
             config = PlannerConfig(distance_normalizer="max_pairwise")
-            plan = plan_exhaustive(env, start, scores, config)
+            plan = plan_optimal(env, start, scores, config)
             doubled = make_env(
                 [(w.id, w.x, w.y) for w in env.waypoints.values()],
                 [(e.a, e.b, e.length * 3.0) for e in env.edges],
             )
-            plan2 = plan_exhaustive(doubled, start, scores, config)
+            plan2 = plan_optimal(doubled, start, scores, config)
             assert plan2.sequence == plan.sequence
 
     def test_cumulative_ends_at_total_mass(self):
         rng = random.Random(42)
         for _ in range(10):
             env, start, scores, config = _random_instance(rng, max_scored=5)
-            plan = plan_exhaustive(env, start, scores, config)
+            plan = plan_optimal(env, start, scores, config)
             assert plan.per_step[-1].cumulative == pytest.approx(scores.total_mass, abs=1e-9)
-
-    def test_optimal_switches_modes(self):
-        env = symmetric_pair_env()
-        scores = WaypointScores({"v1": 0.6, "v2": 0.4}, 1.0)
-        assert plan_optimal(env, "s", scores, RAW_CFG).mode == "exhaustive"
-        tight = PlannerConfig(distance_normalizer="none", exhaustive_limit=1)
-        assert plan_optimal(env, "s", scores, tight).mode == "bounded"
 
     def test_no_scored_waypoints_rejected(self):
         env = symmetric_pair_env()
         with pytest.raises(PlannerError):
-            plan_exhaustive(env, "s", WaypointScores({"v1": 0.0}, 0.0), RAW_CFG)
-        with pytest.raises(PlannerError):
-            plan_bounded(env, "s", WaypointScores({"v1": 0.0}, 0.0), RAW_CFG)
+            plan_optimal(env, "s", WaypointScores({"v1": 0.0}, 0.0), RAW_CFG)
