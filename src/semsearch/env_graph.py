@@ -2,8 +2,10 @@
 
 Scenario documents are JSON with a closed schema; unknown keys are rejected so
 hand-authored files fail loudly instead of silently dropping a typo. All-pairs
-shortest-path distances are computed once at load; maps here are small
-(tens of waypoints) so the table is cheap and lookups are O(1).
+shortest-path distances are computed once at load into a dense table indexed
+by sorted waypoint id, with one heap Dijkstra per source: O(V·E·log V) time
+and O(V²) memory, which suits sparse maps of hundreds of waypoints. Lookups
+are O(1).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .affinity import normalize_label
 from .search_sim import PerceptionModel, SimulationParams
@@ -141,11 +144,10 @@ class Environment:
                         f"room {room.name!r} references unknown waypoint {wid!r}")
             self.rooms[room.name] = room
 
-        self._check_connected()
-        self._dist = self._all_pairs_shortest_paths()
-        self.max_pairwise_distance = max(
-            (d for row in self._dist.values() for d in row.values()), default=0.0
-        )
+        ids = sorted(self.waypoints)
+        self._index: dict[str, int] = {wid: i for i, wid in enumerate(ids)}
+        self._dist = self._all_pairs_shortest_paths(ids)
+        self.max_pairwise_distance = max(map(max, self._dist))
         by_wp: dict[str, list[SeenObject]] = {wid: [] for wid in self.waypoints}
         for obj in self.objects.values():
             by_wp[obj.waypoint].append(obj)
@@ -153,50 +155,42 @@ class Environment:
             wid: tuple(sorted(objs, key=lambda o: o.instance_id)) for wid, objs in by_wp.items()
         }
 
-    def _adjacency(self) -> dict[str, list[tuple[str, float]]]:
-        adj: dict[str, list[tuple[str, float]]] = {wid: [] for wid in self.waypoints}
-        for edge in self.edges:
-            adj[edge.a].append((edge.b, edge.length))
-            adj[edge.b].append((edge.a, edge.length))
-        return adj
+    def _all_pairs_shortest_paths(self, ids: list[str]) -> list[list[float]]:
+        """Dense distance table, one heap Dijkstra per source over integer adjacency.
 
-    def _check_connected(self) -> None:
-        ids = list(self.waypoints)
-        adj = self._adjacency()
-        seen = {ids[0]}
-        frontier = [ids[0]]
-        while frontier:
-            current = frontier.pop()
-            for nbr, _ in adj[current]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    frontier.append(nbr)
-        missing = sorted(set(ids) - seen)
-        if missing:
-            raise ScenarioValidationError(
-                f"graph is disconnected: waypoint {missing[0]!r} is unreachable from {ids[0]!r}")
-
-    def _all_pairs_shortest_paths(self) -> dict[str, dict[str, float]]:
-        ids = sorted(self.waypoints)
-        dist = {a: {b: math.inf for b in ids} for a in ids}
-        for a in ids:
-            dist[a][a] = 0.0
+        The first source's row doubles as the connectivity check. The upper
+        triangle is mirrored into the lower one so distance(a, b) and
+        distance(b, a) are the same float, whichever way Dijkstra summed them.
+        """
+        n = len(ids)
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for edge in self.edges:
-            if edge.length < dist[edge.a][edge.b]:
-                dist[edge.a][edge.b] = edge.length
-                dist[edge.b][edge.a] = edge.length
-        for k in ids:
-            dk = dist[k]
-            for i in ids:
-                dik = dist[i][k]
-                if not math.isfinite(dik):
+            i, j = self._index[edge.a], self._index[edge.b]
+            adj[i].append((j, edge.length))
+            adj[j].append((i, edge.length))
+        rows: list[list[float]] = []
+        for source in range(n):
+            row = [math.inf] * n
+            row[source] = 0.0
+            heap = [(0.0, source)]
+            while heap:
+                d, u = heappop(heap)
+                if d > row[u]:
                     continue
-                di = dist[i]
-                for j in ids:
-                    alt = dik + dk[j]
-                    if alt < di[j]:
-                        di[j] = alt
-        return dist
+                for v, length in adj[u]:
+                    alt = d + length
+                    if alt < row[v]:
+                        row[v] = alt
+                        heappush(heap, (alt, v))
+            if not rows and math.inf in row:
+                raise ScenarioValidationError(
+                    f"graph is disconnected: waypoint {ids[row.index(math.inf)]!r} "
+                    f"is unreachable from {ids[0]!r}")
+            rows.append(row)
+        for i, row in enumerate(rows):
+            for j in range(i + 1, n):
+                rows[j][i] = row[j]
+        return rows
 
     # -- queries -------------------------------------------------------------
 
@@ -206,9 +200,10 @@ class Environment:
 
     def distance(self, a: str, b: str) -> float:
         """Shortest-path (geodesic) distance through the graph, in meters."""
-        self._require(a)
-        self._require(b)
-        return self._dist[a][b]
+        try:
+            return self._dist[self._index[a]][self._index[b]]
+        except KeyError as exc:
+            raise UnknownWaypointError(f"unknown waypoint {exc.args[0]!r}") from None
 
     def objects_at(self, waypoint_id: str) -> tuple[SeenObject, ...]:
         self._require(waypoint_id)

@@ -14,7 +14,7 @@ import os
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import requests
@@ -93,7 +93,7 @@ class CompletionResult:
     answer_text: str
     token_logprobs: TokenLogprobs
     model_echo: str
-    latency_ms: float
+    latency_ms: float = field(compare=False)  # timing, not content: a hit equals the miss it replays
 
 
 def request_digest(model: str, temperature: float, system_text: str, user_text: str) -> str:
@@ -279,11 +279,13 @@ class LLMGateway:
     # -- chat completions ---------------------------------------------------
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
+        started = time.monotonic()
         key = request_digest(request.model, request.temperature, request.system_text, request.user_text)
         if self.cache is not None:
             hit = self.cache.lookup(key)
             if hit is not None:
-                return _payload_to_result(hit)
+                return replace(_payload_to_result(hit),
+                               latency_ms=(time.monotonic() - started) * 1000.0)
         if not self.config.api_key:
             raise MissingCredentialError(
                 "no API key configured; set " + " or ".join(ENV_API_KEY)

@@ -41,14 +41,11 @@ class PerceptionModel:
 
 @dataclass(frozen=True)
 class SimulationParams:
-    epsilon: float = 0.5          # success radius in meters; reaching the host waypoint counts
     lost_threshold: float = 0.95  # fraction of total probability mass
     perception: PerceptionModel = PerceptionModel()
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.lost_threshold <= 1.0:
             raise ValueError(f"lost_threshold must be in (0, 1], got {self.lost_threshold}")
 
@@ -106,7 +103,10 @@ def run_episode(env: "Environment", plan: "SearchPlan", truth: "GroundTruth",
     if rng is None:
         rng = random.Random(seed_used)
 
-    host_waypoint = env.objects[truth.host_object].waypoint
+    host = env.objects.get(truth.host_object)
+    if host is None:
+        raise ValueError(f"ground truth host object {truth.host_object!r} is not in the environment")
+    host_waypoint = host.waypoint
     ideal = env.distance(plan.start, host_waypoint)
 
     traversed = 0.0

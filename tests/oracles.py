@@ -33,6 +33,30 @@ def simple_path_distance(edges: list[tuple[str, str, float]], a: str, b: str) ->
     return best
 
 
+def all_pairs_floyd_warshall(nodes, edges: list[tuple[str, str, float]]) -> dict[str, dict[str, float]]:
+    """All-pairs shortest distances by the textbook O(V^3) triple loop."""
+    ids = sorted(nodes)
+    dist = {a: {b: math.inf for b in ids} for a in ids}
+    for a in ids:
+        dist[a][a] = 0.0
+    for a, b, w in edges:
+        if w < dist[a][b]:
+            dist[a][b] = w
+            dist[b][a] = w
+    for k in ids:
+        dk = dist[k]
+        for i in ids:
+            dik = dist[i][k]
+            if not math.isfinite(dik):
+                continue
+            di = dist[i]
+            for j in ids:
+                alt = dik + dk[j]
+                if alt < di[j]:
+                    di[j] = alt
+    return dist
+
+
 def eq3_cost(distance, start: str, sequence, scores: dict[str, float],
              weight: float, normalizer: float) -> float:
     """Plan cost written out longhand: normalized legs minus discounted scores."""

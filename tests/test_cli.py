@@ -156,6 +156,7 @@ class TestRunBatch:
         assert [row.trial for row in errors] == [1, 2]
         assert all(row.outcome == "error" and row.spl_term == 0.0 and row.pe is None
                    for row in errors)
+        assert all("host object 'obj-missing'" in row.error for row in errors)
         assert report.episodes == 4
         found = sum(row.outcome == "found" for row in report.rows)
         assert found >= 1

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ from semsearch.env_graph import (
 )
 
 from conftest import FARM_SCENARIO, make_env, random_connected_graph
-from oracles import simple_path_distance
+from oracles import all_pairs_floyd_warshall, simple_path_distance
 
 
 def minimal_doc(**overrides):
@@ -139,6 +140,10 @@ class TestDistance:
         with pytest.raises(UnknownWaypointError, match="w9"):
             line_env.distance("w1", "w9")
 
+    def test_unknown_first_waypoint(self, line_env):
+        with pytest.raises(UnknownWaypointError, match="w0"):
+            line_env.distance("w0", "w1")
+
     def test_matches_enumeration_on_random_graphs(self):
         rng = random.Random(20240817)
         for _ in range(25):
@@ -148,6 +153,33 @@ class TestDistance:
             a, b = rng.choice(ids), rng.choice(ids)
             assert env.distance(a, b) == pytest.approx(
                 simple_path_distance(edges, a, b), abs=1e-9)
+
+    def test_all_pairs_match_floyd_warshall(self):
+        rng = random.Random(4104)
+        for _ in range(20):
+            waypoints, edges = random_connected_graph(rng, max_nodes=120)
+            env = make_env(waypoints, edges)
+            expected = all_pairs_floyd_warshall([w[0] for w in waypoints], edges)
+            ids = env.waypoint_ids()
+            for a in ids:
+                for b in ids:
+                    assert abs(env.distance(a, b) - expected[a][b]) <= 1e-9
+                    assert env.distance(a, b) == env.distance(b, a)
+            diameter = max(d for row in expected.values() for d in row.values())
+            assert abs(env.max_pairwise_distance - diameter) <= 1e-9
+
+    def test_grid_of_400_waypoints_loads_quickly(self):
+        # 20 x 20 grid with unit edges: a sparse map the size of a large farm
+        ids = [[f"g{r:02d}-{c:02d}" for c in range(20)] for r in range(20)]
+        waypoints = [(ids[r][c], c, r) for r in range(20) for c in range(20)]
+        edges = [(ids[r][c], ids[r][c + 1], 1.0) for r in range(20) for c in range(19)]
+        edges += [(ids[r][c], ids[r + 1][c], 1.0) for r in range(19) for c in range(20)]
+        started = time.perf_counter()
+        env = make_env(waypoints, edges)
+        elapsed = time.perf_counter() - started
+        assert env.distance(ids[0][0], ids[19][19]) == 38.0
+        assert env.max_pairwise_distance == 38.0
+        assert elapsed < 2.0
 
     def test_symmetry_and_triangle_inequality(self):
         rng = random.Random(99)

@@ -128,6 +128,20 @@ class TestCache:
                           cache=ResponseCache(path))
         assert cold.complete(req()) == original
 
+    def test_hit_reports_its_own_latency(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        request = req()
+        key = request_digest(request.model, request.temperature, request.system_text, request.user_text)
+        ResponseCache(path).store(key, {"answer_text": "tool shed", "tokens": [["tool", -0.5]],
+                                        "model_echo": "m", "latency_ms": 1e6})
+        gateway = LLMGateway(make_config("http://127.0.0.1:1", api_key=None),
+                             cache=ResponseCache(path))
+        hit = gateway.complete(request)
+        assert 0.0 <= hit.latency_ms < 1000.0
+        assert hit.answer_text == "tool shed"
+        assert hit.token_logprobs == TokenLogprobs((("tool", -0.5),))
+        assert ResponseCache(path).lookup(key)["latency_ms"] == 1e6
+
     def test_lookup_before_store_misses(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache.jsonl")
         assert cache.lookup("deadbeef") is None

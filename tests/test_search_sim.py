@@ -188,5 +188,3 @@ class TestParams:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             SimulationParams(lost_threshold=0.0)
-        with pytest.raises(ValueError):
-            SimulationParams(epsilon=0.0)
