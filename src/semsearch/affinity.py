@@ -131,8 +131,8 @@ class TableScorer:
         with open(path, "r", encoding="utf-8") as fh:
             return cls(json.load(fh))
 
-    def __init__(self, table: dict, default: float | None = None):
-        self.default = default
+    def __init__(self, table: dict):
+        self.default: float | None = None
         self._table: dict[tuple[str, str], float] = {}
         for key, value in table.items():
             if key == "default":

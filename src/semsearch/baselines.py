@@ -62,8 +62,8 @@ class RoomScorer(Protocol):
 class TableRoomScorer:
     """Room scores from a declared table keyed 'room|target'."""
 
-    def __init__(self, table: dict, default: float | None = None):
-        self.default = default
+    def __init__(self, table: dict):
+        self.default: float | None = None
         self._table: dict[tuple[str, str], float] = {}
         for key, value in table.items():
             if key == "default":

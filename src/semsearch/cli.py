@@ -13,18 +13,22 @@ import hashlib
 import math
 import random
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from pathlib import Path
 
 from . import baselines, metrics
-from .affinity import AffinityDistribution, LLMScorer, TableScorer, score_distribution
+from .affinity import LLMScorer, TableScorer, score_distribution
 from .env_graph import GroundTruth, ScenarioConfig, load_scenario_path
 from .llm_gateway import GatewayConfig, LLMGateway, ResponseCache
-from .metrics import BatchReport, EpisodeRow
+from .metrics import BatchReport, TrialRecord
 from .planner import PlannerConfig, SearchPlan, plan_optimal, waypoint_scores
 from .search_sim import SimulationParams, run_episode
 
 METHODS = ("losae", "room_search", "hottest_object", "hottest_waypoint")
+# Every method but Room Search plans over the target's affinity distribution.
+AFFINITY_METHODS = frozenset(("losae", "hottest_object", "hottest_waypoint"))
+
+Planner = Callable[[str, PlannerConfig], SearchPlan]
 
 
 def child_seed(seed: int, trial: int) -> int:
@@ -43,52 +47,43 @@ def sample_pairs(env, trials: int, seed: int) -> list[tuple[str, str]]:
     return [(rng.choice(starts), rng.choice(hosts)) for _ in range(trials)]
 
 
-@dataclass
-class RunArtifacts:
-    """Shared per-run products; independent of the sampled start and host."""
-
-    distribution: AffinityDistribution | None = None
-    wscores: object | None = None
-    room_dist: object | None = None
-    ranking: object | None = None
-
-
 def compute_artifacts(cfg: ScenarioConfig, methods, target: str, affinity_scorer=None,
-                      room_scorer=None, embedder=None, parallel: int = 1) -> RunArtifacts:
-    art = RunArtifacts()
+                      room_scorer=None, embedder=None) -> dict[str, Planner]:
+    """Score once per run and return each method's planner: (start, config) -> plan.
+
+    The scores are independent of the sampled start and host, so one set
+    serves every trial. An unknown method is an error before any scoring.
+    """
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unrecognized method {method!r}; expected one of {METHODS}")
     env = cfg.env
-    if any(m in ("losae", "hottest_object", "hottest_waypoint") for m in methods):
+    planners: dict[str, Planner] = {}
+    if AFFINITY_METHODS.intersection(methods):
         if affinity_scorer is None:
             raise ValueError("an affinity scorer is required for this method")
-        art.distribution = score_distribution(affinity_scorer, env.labels(), target,
-                                              parallel=parallel)
-        art.wscores = waypoint_scores(env, art.distribution)
+        distribution = score_distribution(affinity_scorer, env.labels(), target)
+        wscores = waypoint_scores(env, distribution)
+        planners["losae"] = lambda start, config: plan_optimal(env, start, wscores, config)
+        planners["hottest_object"] = lambda start, config: baselines.hottest_object_plan(
+            env, distribution, start, config)
+        planners["hottest_waypoint"] = lambda start, config: baselines.hottest_waypoint_plan(
+            env, wscores, start, config)
     if "room_search" in methods:
         if not env.rooms:
             raise ValueError("scenario declares no rooms; room_search needs them")
         if room_scorer is None:
             raise ValueError("a room scorer is required for room_search")
-        art.room_dist = baselines.room_scores(room_scorer, sorted(env.rooms), target)
-        art.ranking = baselines.similarity_rank(embedder or baselines.HashEmbedder(),
-                                                env.labels(), target)
-    return art
-
-
-def plan_for_method(method: str, env, start: str, art: RunArtifacts,
-                    config: PlannerConfig) -> SearchPlan:
-    if method == "losae":
-        return plan_optimal(env, start, art.wscores, config)
-    if method == "hottest_object":
-        return baselines.hottest_object_plan(env, art.distribution, start, config)
-    if method == "hottest_waypoint":
-        return baselines.hottest_waypoint_plan(env, art.wscores, start, config)
-    if method == "room_search":
-        return baselines.plan_room_search(env, art.room_dist, start, config, art.ranking)
-    raise ValueError(f"unrecognized method {method!r}; expected one of {METHODS}")
+        room_dist = baselines.room_scores(room_scorer, sorted(env.rooms), target)
+        ranking = baselines.similarity_rank(embedder or baselines.HashEmbedder(),
+                                            env.labels(), target)
+        planners["room_search"] = lambda start, config: baselines.plan_room_search(
+            env, room_dist, start, config, ranking)
+    return planners
 
 
 def run_batch(cfg: ScenarioConfig, method: str, trials: int, seed: int, *,
-              target: str | None = None, artifacts: RunArtifacts | None = None,
+              target: str | None = None, planners: dict[str, Planner] | None = None,
               affinity_scorer=None, room_scorer=None, embedder=None,
               planner_config: PlannerConfig | None = None,
               params: SimulationParams | None = None,
@@ -98,39 +93,31 @@ def run_batch(cfg: ScenarioConfig, method: str, trials: int, seed: int, *,
     A trial that raises is written as an error row and counts as a failed
     attempt in SR and SPL.
     """
-    if method not in METHODS:
-        raise ValueError(f"unrecognized method {method!r}; expected one of {METHODS}")
     env = cfg.env
     target = target or cfg.truth.target_label
     config = planner_config or PlannerConfig()
     params = params or cfg.params
     if pairs is None:
         pairs = sample_pairs(env, trials, seed)
-    if artifacts is None:
-        artifacts = compute_artifacts(cfg, [method], target, affinity_scorer,
-                                      room_scorer, embedder)
+    if planners is None:
+        planners = compute_artifacts(cfg, [method], target, affinity_scorer,
+                                     room_scorer, embedder)
+    plan_from = planners[method]
 
     plans: dict[str, SearchPlan] = {}
-    results, rows_info = [], []
-    error_rows: list[EpisodeRow] = []
+    records = []
     for trial, (start, host) in enumerate(pairs):
+        episode_seed = child_seed(seed, trial)
+        result, error = None, ""
         try:
             if start not in plans:
-                plans[start] = plan_for_method(method, env, start, artifacts, config)
+                plans[start] = plan_from(start, config)
             truth = GroundTruth(target_label=target, host_object=host)
-            episode_seed = child_seed(seed, trial)
             result = run_episode(env, plans[start], truth, params, seed=episode_seed)
-            results.append(result)
-            rows_info.append({"trial": trial, "start": start, "host": host, "target": target})
         except Exception as exc:
-            error_rows.append(EpisodeRow(
-                trial=trial, start=start, host_object=host, target_label=target,
-                seed=child_seed(seed, trial), outcome="error", traversed_m=0.0,
-                ideal_m=0.0, spl_term=0.0, pe=None, consumed=0.0, steps=0,
-                error=f"{type(exc).__name__}: {exc}",
-            ))
-
-    return metrics.build_report(method, results, rows_info, tuple(error_rows))
+            error = f"{type(exc).__name__}: {exc}"
+        records.append(TrialRecord(trial, start, host, target, episode_seed, result, error))
+    return metrics.build_report(method, records)
 
 
 def run_bench(cfg: ScenarioConfig, methods, trials: int, seed: int, *,
@@ -139,10 +126,10 @@ def run_bench(cfg: ScenarioConfig, methods, trials: int, seed: int, *,
               params: SimulationParams | None = None) -> list[BatchReport]:
     """One BatchReport per method over the same sampled (start, host) sequence."""
     target = target or cfg.truth.target_label
+    planners = compute_artifacts(cfg, methods, target, affinity_scorer,
+                                 room_scorer, embedder)
     pairs = sample_pairs(cfg.env, trials, seed)
-    artifacts = compute_artifacts(cfg, methods, target, affinity_scorer,
-                                  room_scorer, embedder)
-    return [run_batch(cfg, method, trials, seed, target=target, artifacts=artifacts,
+    return [run_batch(cfg, method, trials, seed, target=target, planners=planners,
                       planner_config=planner_config, params=params, pairs=pairs)
             for method in methods]
 
@@ -150,12 +137,12 @@ def run_bench(cfg: ScenarioConfig, methods, trials: int, seed: int, *,
 # -- scorer construction -----------------------------------------------------------
 
 def _make_gateway(args) -> LLMGateway:
-    cache = ResponseCache(args.cache) if getattr(args, "cache", None) else None
+    cache = ResponseCache(args.cache) if args.cache else None
     return LLMGateway(GatewayConfig.from_env(), cache=cache)
 
 
 def _make_affinity_scorer(cfg: ScenarioConfig, args):
-    kind = getattr(args, "scorer", None) or (cfg.scorer.kind if cfg.scorer else None)
+    kind = args.scorer or (cfg.scorer.kind if cfg.scorer else None)
     if kind is None:
         raise ValueError("scenario declares no scorer; pass --scorer llm|table")
     if kind == "table":
@@ -169,7 +156,7 @@ def _make_affinity_scorer(cfg: ScenarioConfig, args):
 def _make_room_scorer(cfg: ScenarioConfig, args):
     if cfg.room_scores:
         return baselines.TableRoomScorer(cfg.room_scores)
-    kind = getattr(args, "scorer", None) or (cfg.scorer.kind if cfg.scorer else None)
+    kind = args.scorer or (cfg.scorer.kind if cfg.scorer else None)
     if kind == "llm":
         return baselines.LLMRoomScorer(_make_gateway(args))
     raise ValueError("room_search needs a room_scores table in the scenario or --scorer llm")
@@ -182,31 +169,21 @@ def _make_embedder(cfg: ScenarioConfig):
 
 
 def _planner_config(args) -> PlannerConfig:
-    kwargs = {}
-    if getattr(args, "score_weight", None) is not None:
-        kwargs["score_weight"] = args.score_weight
-    if getattr(args, "normalizer", None) is not None:
-        kwargs["distance_normalizer"] = args.normalizer
-    return PlannerConfig(**kwargs)
+    return PlannerConfig(score_weight=args.score_weight, distance_normalizer=args.normalizer)
 
 
 # -- commands -----------------------------------------------------------------------
-
-def _fmt(value: float) -> str:
-    return format(value, ".6f")
-
 
 def cmd_score(args) -> int:
     cfg = load_scenario_path(args.scenario)
     target = args.target or cfg.truth.target_label
     scorer = _make_affinity_scorer(cfg, args)
-    dist = score_distribution(scorer, cfg.env.labels(), target,
-                              parallel=getattr(args, "parallel", 1))
+    dist = score_distribution(scorer, cfg.env.labels(), target, parallel=args.parallel)
     print(f"target: {dist.target_label}")
     print(f"{'label':<24} {'probability':>12} {'raw':>12}")
     for label, p in sorted(dist.entries.items(), key=lambda kv: (-kv[1], kv[0])):
-        print(f"{label:<24} {_fmt(p):>12} {_fmt(dist.raw[label]):>12}")
-    print(f"{'sum':<24} {_fmt(math.fsum(dist.entries.values())):>12}")
+        print(f"{label:<24} {p:>12.6f} {dist.raw[label]:>12.6f}")
+    print(f"{'sum':<24} {math.fsum(dist.entries.values()):>12.6f}")
     if isinstance(scorer, LLMScorer) and scorer.answers:
         print("model answers (diagnostic only, not used for scoring):")
         for (seen, _), answer in sorted(scorer.answers.items()):
@@ -230,57 +207,26 @@ def cmd_plan(args) -> int:
     for rank, step in enumerate(plan.per_step, 1):
         leg_m = env.distance(position, step.waypoint)
         position = step.waypoint
-        print(f"{rank:>4} {step.waypoint:<16} {_fmt(step.leg):>10} {_fmt(leg_m):>10} "
-              f"{_fmt(step.score):>10} {_fmt(step.cumulative):>10}")
-    print(f"total cost: {_fmt(plan.cost)}")
+        print(f"{rank:>4} {step.waypoint:<16} {step.leg:>10.6f} {leg_m:>10.6f} "
+              f"{step.score:>10.6f} {step.cumulative:>10.6f}")
+    print(f"total cost: {plan.cost:.6f}")
     return 0
 
 
-def _write_outputs(reports: list[BatchReport], out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics.write_episode_csv(reports, out_dir / "episodes.csv")
-    metrics.write_summary_csv(reports, out_dir / "summary.csv")
-    metrics.write_steps_csv(reports, out_dir / "steps.csv")
-    metrics.write_long_csv(reports, out_dir / "long.csv")
-
-
-def _print_reports(reports: list[BatchReport]) -> None:
-    print(f"{'method':<18} {'N':>4} {'SR':>7} {'SPL':>7}")
-    for r in reports:
-        print(f"{r.method:<18} {r.episodes:>4} {_fmt(r.sr):>7} {_fmt(r.spl):>7}")
-    print()
-    print(f"{'method':<18} {'PE_mean':>9} {'PE_std':>9} {'excluded':>9}")
-    for r in reports:
-        print(f"{r.method:<18} {_fmt(r.pe_mean):>9} {_fmt(r.pe_std):>9} {r.pe_excluded:>9}")
-
-
-def _had_errors(reports: list[BatchReport]) -> bool:
-    return any(row.error for r in reports for row in r.rows)
-
-
 def cmd_run(args) -> int:
-    cfg = load_scenario_path(args.scenario)
-    seed = args.seed if args.seed is not None else cfg.params.seed
-    scorer = _make_affinity_scorer(cfg, args) if args.method != "room_search" else None
-    room_scorer = _make_room_scorer(cfg, args) if args.method == "room_search" else None
-    report = run_batch(
-        cfg, args.method, args.trials, seed,
-        target=args.target, affinity_scorer=scorer, room_scorer=room_scorer,
-        embedder=_make_embedder(cfg), planner_config=_planner_config(args),
-    )
-    _write_outputs([report], Path(args.out))
-    _print_reports([report])
-    return 1 if _had_errors([report]) else 0
+    return _bench(args, [args.method])
 
 
 def cmd_bench(args) -> int:
+    return _bench(args, args.methods or list(METHODS))
+
+
+def _bench(args, methods) -> int:
+    """Paired trials of `methods`: the four CSVs, a printed summary, and exit
+    code 1 when any trial errored."""
     cfg = load_scenario_path(args.scenario)
     seed = args.seed if args.seed is not None else cfg.params.seed
-    methods = args.methods or list(METHODS)
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unrecognized method {method!r}; expected one of {METHODS}")
-    needs_affinity = any(m != "room_search" for m in methods)
+    needs_affinity = AFFINITY_METHODS.intersection(methods)
     reports = run_bench(
         cfg, methods, args.trials, seed,
         target=args.target,
@@ -289,9 +235,20 @@ def cmd_bench(args) -> int:
         embedder=_make_embedder(cfg),
         planner_config=_planner_config(args),
     )
-    _write_outputs(reports, Path(args.out))
-    _print_reports(reports)
-    return 1 if _had_errors(reports) else 0
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    metrics.write_episode_csv(reports, out_dir / "episodes.csv")
+    metrics.write_summary_csv(reports, out_dir / "summary.csv")
+    metrics.write_steps_csv(reports, out_dir / "steps.csv")
+    metrics.write_long_csv(reports, out_dir / "long.csv")
+    print(f"{'method':<18} {'N':>4} {'SR':>7} {'SPL':>7}")
+    for r in reports:
+        print(f"{r.method:<18} {r.episodes:>4} {r.sr:>7.6f} {r.spl:>7.6f}")
+    print()
+    print(f"{'method':<18} {'PE_mean':>9} {'PE_std':>9} {'excluded':>9}")
+    for r in reports:
+        print(f"{r.method:<18} {r.pe_mean:>9.6f} {r.pe_std:>9.6f} {r.pe_excluded:>9}")
+    return 1 if any(row.error for r in reports for row in r.rows) else 0
 
 
 # -- parser -------------------------------------------------------------------------
@@ -302,10 +259,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scorer", choices=("llm", "table"), default=None,
                    help="override the scenario's scorer kind")
     p.add_argument("--cache", default=None, help="response cache file for the llm scorer")
-    p.add_argument("--lambda", dest="score_weight", type=float, default=None,
-                   help="score weight in the plan cost (default 1.0)")
-    p.add_argument("--normalizer", choices=("max_pairwise", "none"), default=None,
-                   help="leg distance normalization (default max_pairwise)")
+    p.add_argument("--lambda", dest="score_weight", type=float,
+                   default=PlannerConfig.score_weight,
+                   help="score weight in the plan cost (default %(default)s)")
+    p.add_argument("--normalizer", choices=("max_pairwise", "none"),
+                   default=PlannerConfig.distance_normalizer,
+                   help="leg distance normalization (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -331,14 +331,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
     perception = PerceptionModel()
     if "perception" in doc:
         p = doc["perception"]
-        _require_keys(p, {"true_positive_rate", "false_positive_rate", "confidence_threshold"},
+        _require_keys(p, {"true_positive_rate", "false_positive_rate"},
                       {"true_positive_rate", "false_positive_rate"}, "perception")
         try:
             perception = PerceptionModel(
                 true_positive_rate=_as_number(p["true_positive_rate"], "true_positive_rate"),
                 false_positive_rate=_as_number(p["false_positive_rate"], "false_positive_rate"),
-                confidence_threshold=_as_number(p.get("confidence_threshold", 0.8),
-                                                "confidence_threshold"),
             )
         except ValueError as exc:
             raise ScenarioValidationError(str(exc)) from exc
@@ -396,7 +394,6 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
     doc["perception"] = {
         "true_positive_rate": cfg.params.perception.true_positive_rate,
         "false_positive_rate": cfg.params.perception.false_positive_rate,
-        "confidence_threshold": cfg.params.perception.confidence_threshold,
     }
     if cfg.scorer is not None:
         scorer: dict = {"kind": cfg.scorer.kind}

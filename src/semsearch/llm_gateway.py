@@ -77,11 +77,8 @@ class CompletionRequest:
     model: str = DEFAULT_MODEL
     temperature: float = 0.0
     max_tokens: int = 64
-    logprobs_requested: bool = True
 
     def __post_init__(self):
-        if not self.logprobs_requested:
-            raise ValueError("logprobs_requested must stay enabled; scoring needs token logprobs")
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_tokens < 1:

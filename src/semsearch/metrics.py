@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .search_sim import EpisodeResult, Outcome
 
@@ -55,22 +56,36 @@ def pe_defined(result: EpisodeResult) -> bool:
     return result.ideal_length > 0 and result.traversed_length > 0
 
 
-@dataclass(frozen=True)
-class EpisodeRow:
+class TrialRecord(NamedTuple):
+    """One attempted trial: its sampling context, then its result or its error."""
+
     trial: int
     start: str
     host_object: str
     target_label: str
     seed: int
-    outcome: str
-    traversed_m: float
-    ideal_m: float
-    spl_term: float
-    pe: float | None       # None when excluded from PE aggregates
-    consumed: float
-    steps: int
+    result: EpisodeResult | None   # None when the trial raised
     error: str = ""
-    trace: tuple = ()      # per-step records; not part of the episode CSV row
+
+
+@dataclass(frozen=True)
+class EpisodeRow:
+    """One trial's report row; the defaults are those of a trial that raised."""
+
+    trial: int
+    start: str
+    host_object: str
+    target_label: str
+    seed: int
+    outcome: str = "error"
+    traversed_m: float = 0.0
+    ideal_m: float = 0.0
+    spl_term: float = 0.0
+    pe: float | None = None  # None when excluded from PE aggregates
+    consumed: float = 0.0
+    steps: int = 0
+    error: str = ""
+    trace: tuple = ()        # per-step records; not part of the episode CSV row
 
 
 @dataclass(frozen=True)
@@ -85,39 +100,38 @@ class BatchReport:
     rows: tuple[EpisodeRow, ...]
 
 
-def build_report(method: str, results: list[EpisodeResult], rows_info: list[dict],
-                 error_rows: tuple[EpisodeRow, ...] = ()) -> BatchReport:
-    """Aggregate a batch over every attempted trial.
+def episode_row(record: TrialRecord) -> EpisodeRow:
+    """The report row of one attempted trial."""
+    result = record.result
+    context = (record.trial, record.start, record.host_object, record.target_label,
+               record.seed)
+    if result is None:
+        return EpisodeRow(*context, error=record.error)
+    return EpisodeRow(
+        *context,
+        outcome=result.outcome.value,
+        traversed_m=result.traversed_length,
+        ideal_m=result.ideal_length,
+        spl_term=spl_term(result),
+        pe=path_efficiency(result) if pe_defined(result) else None,
+        consumed=result.steps[-1].consumed if result.steps else 0.0,
+        steps=len(result.steps),
+        trace=result.steps,
+    )
 
-    rows_info carries per-episode sampling context. error_rows are the trials
-    that raised: each is a failed attempt in SR and SPL and has no PE.
+
+def build_report(method: str, records: list[TrialRecord]) -> BatchReport:
+    """Aggregate a batch over every attempted trial, rows in the given order.
+
+    A trial that raised is a failed attempt in SR and SPL and has no PE.
     """
-    rows = list(error_rows)
-    pe_values = []
-    for index, (result, info) in enumerate(zip(results, rows_info)):
-        pe = path_efficiency(result) if pe_defined(result) else None
-        if pe is not None:
-            pe_values.append(pe)
-        consumed = result.steps[-1].consumed if result.steps else 0.0
-        rows.append(EpisodeRow(
-            trial=info.get("trial", index),
-            start=info["start"],
-            host_object=info["host"],
-            target_label=info["target"],
-            seed=result.seed,
-            outcome=result.outcome.value,
-            traversed_m=result.traversed_length,
-            ideal_m=result.ideal_length,
-            spl_term=spl_term(result),
-            pe=pe,
-            consumed=consumed,
-            steps=len(result.steps),
-            trace=result.steps,
-        ))
+    rows = tuple(episode_row(record) for record in records)
+    results = [record.result for record in records if record.result is not None]
+    pe_values = [row.pe for row in rows if row.pe is not None]
     pe_mean = math.fsum(pe_values) / len(pe_values) if pe_values else 0.0
     # Population standard deviation: deterministic and well defined for N=1.
     pe_std = math.sqrt(math.fsum((v - pe_mean) ** 2 for v in pe_values) / len(pe_values)) if pe_values else 0.0
-    attempts = len(results) + len(error_rows)
+    attempts = len(records)
     return BatchReport(
         method=method,
         episodes=attempts,
@@ -126,7 +140,7 @@ def build_report(method: str, results: list[EpisodeResult], rows_info: list[dict
         pe_mean=pe_mean,
         pe_std=pe_std,
         pe_excluded=attempts - len(pe_values),
-        rows=tuple(sorted(rows, key=lambda r: r.trial)),
+        rows=rows,
     )
 
 

@@ -106,48 +106,39 @@ def _normalizer(env, config: PlannerConfig) -> float:
     return d if d > 0 else 1.0
 
 
-def _sequence_cost(env, start: str, sequence, scores: dict[str, float],
-                   config: PlannerConfig) -> float:
-    norm = _normalizer(env, config)
-    dist_sum = 0.0
-    score_sum = 0.0
-    previous = start
-    for rank, waypoint in enumerate(sequence, start=1):
-        if waypoint not in scores:
-            raise PlannerError(f"waypoint {waypoint!r} in sequence has no score")
-        dist_sum += env.distance(previous, waypoint) / norm
-        score_sum += scores[waypoint] / rank
-        previous = waypoint
-    return dist_sum - config.score_weight * score_sum
-
-
 def path_cost(sequence, start: str, scores: WaypointScores, env,
               config: PlannerConfig | None = None) -> float:
     """Cost of visiting `sequence` from `start`; empty sequence costs 0."""
-    config = config or PlannerConfig()
-    return _sequence_cost(env, start, tuple(sequence), scores.scores, config)
+    return make_plan(env, start, sequence, scores.scores, config or PlannerConfig(), "").cost
 
 
 def make_plan(env, start: str, sequence, step_scores: dict[str, float],
               config: PlannerConfig, mode: str, total_mass: float | None = None) -> SearchPlan:
-    """Assemble a SearchPlan for an explicit visiting order."""
+    """Assemble a SearchPlan for an explicit visiting order.
+
+    The leg and score sums are added up in visiting order; plan_optimal's
+    tie-break relies on exactly these floats.
+    """
     env._require(start)
     norm = _normalizer(env, config)
     sequence = tuple(sequence)
     steps = []
-    cumulative = 0.0
+    dist_sum = score_sum = cumulative = 0.0
     previous = start
-    for waypoint in sequence:
+    for rank, waypoint in enumerate(sequence, start=1):
+        if waypoint not in step_scores:
+            raise PlannerError(f"waypoint {waypoint!r} in sequence has no score")
         leg = env.distance(previous, waypoint) / norm
-        cumulative += step_scores[waypoint]
-        steps.append(PlanStep(waypoint=waypoint, leg=leg,
-                              score=step_scores[waypoint], cumulative=cumulative))
+        score = step_scores[waypoint]
+        dist_sum += leg
+        score_sum += score / rank
+        cumulative += score
+        steps.append(PlanStep(waypoint=waypoint, leg=leg, score=score, cumulative=cumulative))
         previous = waypoint
-    cost = _sequence_cost(env, start, sequence, step_scores, config)
     return SearchPlan(
         start=start,
         sequence=sequence,
-        cost=cost,
+        cost=dist_sum - config.score_weight * score_sum,
         per_step=tuple(steps),
         total_mass=total_mass if total_mass is not None else cumulative,
         score_weight=config.score_weight,
@@ -162,7 +153,7 @@ def plan_optimal(env, start: str, scores: WaypointScores,
     A forward DP over states (visited set, last waypoint): the remaining cost
     from a state does not depend on how it was reached, because the discount
     of the next visit depends only on how many waypoints were visited. The
-    leg and score sums are accumulated in visiting order like path_cost, so
+    leg and score sums are accumulated in visiting order like make_plan, so
     the cost matches enumeration exactly, and cost ties resolve to the
     lexicographically smallest sequence.
     """

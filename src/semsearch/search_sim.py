@@ -30,7 +30,6 @@ class PerceptionModel:
 
     true_positive_rate: float = 1.0
     false_positive_rate: float = 0.0
-    confidence_threshold: float = 0.8  # informational only
 
     def __post_init__(self):
         for name in ("true_positive_rate", "false_positive_rate"):
@@ -75,7 +74,6 @@ class EpisodeResult:
     ideal_length: float
     steps: tuple[StepRecord, ...]
     seed: int
-    grasped: bool = False  # annotation only; grasping always succeeds on FOUND
 
 
 def inspect(objects: Iterable["SeenObject"], truth: "GroundTruth",
@@ -92,16 +90,14 @@ def inspect(objects: Iterable["SeenObject"], truth: "GroundTruth",
 
 
 def run_episode(env: "Environment", plan: "SearchPlan", truth: "GroundTruth",
-                params: SimulationParams, rng: random.Random | None = None,
-                seed: int | None = None) -> EpisodeResult:
+                params: SimulationParams, seed: int | None = None) -> EpisodeResult:
     """Visit the plan's waypoints in order until found, lost, or exhausted.
 
     The lost check runs after each waypoint's inspections, so the waypoint at
     which the threshold is crossed is still inspected and nothing beyond it is.
     """
     seed_used = seed if seed is not None else params.seed
-    if rng is None:
-        rng = random.Random(seed_used)
+    rng = random.Random(seed_used)
 
     host = env.objects.get(truth.host_object)
     if host is None:
@@ -138,5 +134,4 @@ def run_episode(env: "Environment", plan: "SearchPlan", truth: "GroundTruth",
         ideal_length=ideal,
         steps=tuple(steps),
         seed=seed_used,
-        grasped=outcome is Outcome.FOUND,
     )

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from semsearch.affinity import TableScorer
-from semsearch.cli import main, run_batch, sample_pairs
+from semsearch.cli import METHODS, main, run_batch, sample_pairs
 
 from conftest import FARM_SCENARIO, REPO_ROOT
 
@@ -200,10 +200,23 @@ class TestBench:
             outs.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
         assert outs[0] == outs[1]
 
-    def test_unknown_method_rejected(self, capsys):
+    def test_unknown_method_rejected(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
         assert run_cli("bench", "--scenario", str(FARM_SCENARIO),
-                       "--methods", "losae", "teleport") == 2
+                       "--methods", "losae", "teleport", "--out", str(out_dir)) == 2
         assert "teleport" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_run_is_bench_over_one_method(self, tmp_path, method):
+        outs = []
+        for command, flag in (("run", "--method"), ("bench", "--methods")):
+            out_dir = tmp_path / command
+            assert run_cli(command, "--scenario", str(FARM_SCENARIO), flag, method,
+                           "--trials", "5", "--seed", "7", "--out", str(out_dir)) == 0
+            outs.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
+        assert len(outs[0]) == 4
+        assert outs[0] == outs[1]
 
     def test_single_method(self, tmp_path):
         out_dir = tmp_path / "out"

@@ -55,6 +55,10 @@ class TestLoadScenario:
         doc["waypoints"][0]["z"] = 4.0
         with pytest.raises(ScenarioParseError, match="z"):
             parse_scenario(json.dumps(doc))
+        doc = minimal_doc(perception={"true_positive_rate": 1.0, "false_positive_rate": 0.0,
+                                      "confidence_threshold": 0.8})
+        with pytest.raises(ScenarioParseError, match="confidence_threshold"):
+            parse_scenario(json.dumps(doc))
 
     def test_malformed_json(self):
         with pytest.raises(ScenarioParseError):

@@ -256,10 +256,6 @@ class TestEmbed:
 
 
 class TestRequestTypes:
-    def test_logprobs_flag_cannot_be_disabled(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(system_text="s", user_text="u", logprobs_requested=False)
-
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
             CompletionRequest(system_text="s", user_text="u", temperature=-0.1)

@@ -43,7 +43,6 @@ class TestRunEpisode:
         result = run_episode(env, plan, GroundTruth("drill", "obj-1"), perfect())
         assert result.outcome is Outcome.FOUND
         assert result.traversed_length == env.distance("s", "w1") == 1.0
-        assert result.grasped is True
 
     def test_blind_perception_ends_lost(self):
         env = four_stop_env()
@@ -75,7 +74,6 @@ class TestRunEpisode:
         assert result.outcome is Outcome.FOUND_FALSE
         assert result.steps[-1].detection.instance_id == "obj-1"
         assert result.traversed_length == 1.0
-        assert result.grasped is False
 
     def test_exhausted_when_mass_below_threshold(self):
         env = four_stop_env()
