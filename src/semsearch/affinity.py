@@ -9,7 +9,6 @@ benchmarks fully deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -122,14 +121,8 @@ class AffinityScorer(Protocol):
 class TableScorer:
     """Raw affinities from a declared table keyed 'seen_label|target_label'.
 
-    Tables come embedded in a scenario document's scorer section or from a
-    standalone JSON document of the same shape (see from_path).
+    Tables come from a scenario document's scorer section.
     """
-
-    @classmethod
-    def from_path(cls, path) -> "TableScorer":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
 
     def __init__(self, table: dict):
         self.default: float | None = None

@@ -69,6 +69,8 @@ class TableRoomScorer:
             if key == "default":
                 self.default = float(value)
                 continue
+            if "|" not in key:
+                raise ValueError(f"room table key {key!r} is not 'room|target'")
             room, target = key.split("|", 1)
             value = float(value)
             if value < 0:
@@ -170,13 +172,6 @@ def room_scores(scorer: RoomScorer, rooms: list[str], target_label: str) -> Room
 class SimilarityRanking:
     entries: tuple[tuple[str, float], ...]  # sorted nonincreasing; ties lexicographic
 
-    def value(self, label: str) -> float:
-        key = normalize_label(label)
-        for name, sim in self.entries:
-            if name == key:
-                return sim
-        raise EmbeddingError(f"label {label!r} not present in the ranking")
-
 
 class Embedder(Protocol):
     def embed(self, text: str) -> tuple[float, ...]: ...
@@ -214,17 +209,6 @@ class HashEmbedder:
         vec = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
         norm = math.sqrt(math.fsum(x * x for x in vec))
         return tuple(x / norm for x in vec)
-
-
-class EndpointEmbedder:
-    """Embeddings from an external endpoint through the gateway."""
-
-    def __init__(self, gateway: LLMGateway, model: str | None = None):
-        self.gateway = gateway
-        self.model = model
-
-    def embed(self, text: str) -> tuple[float, ...]:
-        return self.gateway.embed(normalize_label(text), model=self.model)
 
 
 def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:

@@ -103,13 +103,6 @@ def request_digest(model: str, temperature: float, system_text: str, user_text: 
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def embedding_digest(model: str, text: str) -> str:
-    payload = json.dumps(
-        {"embed_model": model, "text": text}, sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def _result_to_payload(result: CompletionResult) -> dict:
     return {
         "answer_text": result.answer_text,
@@ -326,29 +319,6 @@ class LLMGateway:
             model_echo=str(data.get("model", "")),
             latency_ms=latency_ms,
         )
-
-    # -- embeddings ---------------------------------------------------------
-
-    def embed(self, text: str, model: str | None = None) -> tuple[float, ...]:
-        """Fetch an embedding vector through the same retry/cache machinery."""
-        model = model or self.config.model
-        key = embedding_digest(model, text)
-        if self.cache is not None:
-            hit = self.cache.lookup(key)
-            if hit is not None:
-                return tuple(float(v) for v in hit["vector"])
-        if not self.config.api_key:
-            raise MissingCredentialError(
-                "no API key configured; set " + " or ".join(ENV_API_KEY)
-            )
-        data, _ = self._post_with_retries("/embeddings", {"model": model, "input": [text]})
-        try:
-            vector = tuple(float(v) for v in data["data"][0]["embedding"])
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise MalformedResponseError(f"embedding body malformed: {exc}") from exc
-        if self.cache is not None:
-            self.cache.store(key, {"vector": list(vector)})
-        return vector
 
     # -- transport ----------------------------------------------------------
 

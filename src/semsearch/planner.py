@@ -11,19 +11,24 @@ shortest-path distance by default; raw meters would dwarf the probability
 term and collapse the objective into pure distance.
 
 The discount depends only on how many waypoints were visited before, so the
-optimum is found exactly by a Held-Karp dynamic program over (visited set,
-last waypoint) states.
+cost still to pay from a (visited set, last waypoint) state depends neither on
+the order the set was visited in nor on the start. A backward Held-Karp table
+of those costs is built once per scored set and shared by every start; a plan
+is the best first step plus a walk down the table that settles rounding-level
+ties the way enumerating every permutation would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .affinity import AffinityDistribution, split_across_instances
 
-# The DP holds 2^k * k states: 16 scored waypoints take about 2 s and 100 MB
-# on a 2-core x86 VM with CPython 3.11, and every further waypoint doubles both.
+# The table holds 2^k * k states and takes 2^k * k^2 steps to build: at 16
+# scored waypoints about 0.8-1.3 s and 30 MB on a 2-core x86 VM with CPython
+# 3.11, and every further waypoint more than doubles both.
 MAX_SCORED_WAYPOINTS = 16
 
 
@@ -146,15 +151,41 @@ def make_plan(env, start: str, sequence, step_scores: dict[str, float],
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _cost_to_go(leg: tuple[tuple[float, ...], ...], score: tuple[float, ...],
+                weight: float) -> list[list[float]]:
+    """Backward Held-Karp table over (visited set, last waypoint) states.
+
+    ctg[mask][j] is the least cost of visiting every waypoint outside `mask`
+    after visiting exactly `mask` and ending at j. It reads nothing of the
+    start, so the last table built is kept and serves every start over the
+    same normalized legs, scores and weight.
+    """
+    n = len(score)
+    full = (1 << n) - 1
+    ctg = [[0.0] * n for _ in range(full + 1)]
+    for mask in range(full - 1, 0, -1):
+        rank = mask.bit_count() + 1
+        after = [(i, ctg[mask | 1 << i][i] - weight * score[i] / rank)
+                 for i in range(n) if not mask >> i & 1]
+        row = ctg[mask]
+        for j in range(n):
+            if mask >> j & 1:
+                to = leg[j]
+                row[j] = min([to[i] + rest for i, rest in after])
+    return ctg
+
+
 def plan_optimal(env, start: str, scores: WaypointScores,
                  config: PlannerConfig | None = None) -> SearchPlan:
     """Globally optimal order of all score-positive waypoints.
 
-    A forward DP over states (visited set, last waypoint): the remaining cost
-    from a state does not depend on how it was reached, because the discount
-    of the next visit depends only on how many waypoints were visited. The
-    leg and score sums are accumulated in visiting order like make_plan, so
-    the cost matches enumeration exactly, and cost ties resolve to the
+    The backward table gives every state's exact cost to go, so the optimum
+    from `start` is the best first step plus that step's cost to go. Prefixes
+    are then walked depth-first in waypoint-id order down every branch that
+    can still finish within rounding slack of the optimum, adding the leg and
+    score sums in visiting order like make_plan. Of the sequences reached, the
+    cheapest by those sums wins, and exact cost ties resolve to the
     lexicographically smallest sequence.
     """
     config = config or PlannerConfig()
@@ -171,98 +202,50 @@ def plan_optimal(env, start: str, scores: WaypointScores,
 
     # Candidates are sorted, so index sequences compare like waypoint-id ones.
     start_leg = [env.distance(start, w) / norm for w in candidates]
-    leg_to = [[env.distance(a, b) / norm for a in candidates] for b in candidates]
-    score = [scores.scores[w] for w in candidates]
+    leg = tuple(tuple(env.distance(a, b) / norm for b in candidates) for a in candidates)
+    score = tuple(scores.scores[w] for w in candidates)
+    ctg = _cost_to_go(leg, score, weight)
 
-    # Rounding can reverse two partial orders of one state whose costs differ
-    # by less than `slack` (far above the rounding error of any sum here), so
-    # both are kept unless one is lexicographically smaller and no worse on
-    # either sum; rounding is monotone, so that one then finishes no worse. A
-    # partial order more than `slack` behind can never finish first.
-    slack = 1e-12 * (n * max(start_leg + [max(row) for row in leg_to])
+    # Rounding can reverse two orders whose costs differ by less than `slack`
+    # (far above the rounding error of any sum here), so every prefix within
+    # it of the optimum is walked. A prefix more than `slack` behind can
+    # never finish first.
+    slack = 1e-12 * (n * max(start_leg + [max(row) for row in leg])
                      + weight * math.fsum(score))
+    limit = min(start_leg[i] - weight * score[i] + ctg[1 << i][i] for i in range(n)) + slack
 
-    # dist_sum[mask][last], score_sum[mask][last] and parent[mask][last]
-    # describe the best partial order that visits exactly `mask` and ends at
-    # `last`; extra[mask, last] holds the near ties kept beside it as (leg sum,
-    # score sum, parent). A partial order is coded k * n + last: k = 0 is the
-    # best one of its state and k > 0 is extra[mask, last][k - 1].
-    size = 1 << n
-    members: list[list[int]] = [[]] * size
-    for mask in range(1, size):
-        low = (mask & -mask).bit_length() - 1
-        members[mask] = [low] + members[mask & (mask - 1)]
-    dist_sum = [[0.0] * n for _ in range(size)]
-    score_sum = [[0.0] * n for _ in range(size)]
-    parent = [[-1] * n for _ in range(size)]
-    extra: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
-    masks_with_extra: set[int] = set()
+    # kept[mask, last] holds the (leg sum, score sum) of each prefix walked
+    # into that state. A later prefix is lexicographically larger; when an
+    # earlier one is no worse on either sum, rounding is monotone, so the
+    # earlier one finishes no worse and the later one is skipped. Without
+    # this, exactly tied orders (equal scores on a symmetric map) would be
+    # walked factorially.
+    kept: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    finished: list[tuple[float, tuple[int, ...]]] = []
+    order: list[int] = []
 
-    def sequence(mask: int, code: int) -> list[int]:
-        """Visiting order of partial order `code` among those covering `mask`."""
-        seq = []
-        while code >= 0:
-            k, last = divmod(code, n)
-            seq.append(last)
-            code = parent[mask][last] if k == 0 else extra[mask, last][k - 1][2]
-            mask ^= 1 << last
-        seq.reverse()
-        return seq
-
-    def settle_ties(mask: int, j: int, gain: float) -> None:
-        """Fill state (mask, j) from every kept partial order of its predecessors."""
-        prev = mask ^ (1 << j)
-        to_j = leg_to[j]
-        extended = []
-        for i in members[prev]:
-            extended.append((dist_sum[prev][i] + to_j[i], score_sum[prev][i] + gain, i))
-            extended += [(d + to_j[i], s + gain, k * n + i)
-                         for k, (d, s, _) in enumerate(extra.get((prev, i), ()), 1)]
-        limit = min(d - weight * s for d, s, _ in extended) + slack
-        kept: list[tuple[float, float, int]] = []
-        for d, s, code in sorted((e for e in extended if e[0] - weight * e[1] <= limit),
-                                 key=lambda e: sequence(prev, e[2])):
-            if not any(kd <= d and ks >= s for kd, ks, _ in kept):
-                kept.append((d, s, code))
-        dist_sum[mask][j], score_sum[mask][j], parent[mask][j] = kept[0]
-        if len(kept) > 1:
-            extra[mask, j] = kept[1:]
-            masks_with_extra.add(mask)
-
-    for j in range(n):
-        dist_sum[1 << j][j] = start_leg[j]
-        score_sum[1 << j][j] = score[j]
-    for mask in range(1, size):
-        rank = len(members[mask])
-        if rank < 2:
-            continue
-        row_dist, row_score, row_parent = dist_sum[mask], score_sum[mask], parent[mask]
-        for j in members[mask]:
-            prev = mask ^ (1 << j)
-            prev_dist, prev_score = dist_sum[prev], score_sum[prev]
-            gain = score[j] / rank
-            to_j = leg_to[j]
-            options = members[prev]
-            costs = [(prev_dist[i] + to_j[i]) - weight * (prev_score[i] + gain)
-                     for i in options]
-            # Without near ties the best predecessor alone fills the state;
-            # settle_ties would give the same result at about half the speed.
-            best = min(costs)
-            at = costs.index(best)
-            costs[at] = math.inf
-            if prev in masks_with_extra or min(costs) <= best + slack:
-                settle_ties(mask, j, gain)
+    def walk(mask: int, legs, rank: int, dist_sum: float, score_sum: float) -> None:
+        if rank == n:
+            finished.append((dist_sum - weight * score_sum, tuple(order)))
+            return
+        rank += 1
+        for i in range(n):
+            if mask >> i & 1:
                 continue
-            i = options[at]
-            row_dist[j] = prev_dist[i] + to_j[i]
-            row_score[j] = prev_score[i] + gain
-            row_parent[j] = i
+            d = dist_sum + legs[i]
+            s = score_sum + score[i] / rank
+            visited = mask | 1 << i
+            if d - weight * s + ctg[visited][i] > limit:
+                continue
+            seen = kept.setdefault((visited, i), [])
+            if any(kd <= d and ks >= s for kd, ks in seen):
+                continue
+            seen.append((d, s))
+            order.append(i)
+            walk(visited, leg[i], rank, d, s)
+            order.pop()
 
-    full = size - 1
-    finished = [(dist_sum[full][j] - weight * score_sum[full][j], j) for j in range(n)]
-    finished += [(d - weight * s, k * n + j) for j in range(n)
-                 for k, (d, s, _) in enumerate(extra.get((full, j), ()), 1)]
-    _, code = min(finished, key=lambda f: (f[0], sequence(full, f[1])))
-    sequence_ids = tuple(candidates[i] for i in sequence(full, code))
-    return make_plan(env, start, sequence_ids, scores.scores, config, "dp",
-                     total_mass=scores.total_mass)
+    walk(0, start_leg, 0, 0.0, 0.0)
+    _, best = min(finished)
+    return make_plan(env, start, tuple(candidates[i] for i in best), scores.scores, config,
+                     "dp", total_mass=scores.total_mass)

@@ -27,10 +27,6 @@ def no_logprobs_completion(answer="the shelf"):
             "choices": [{"message": {"role": "assistant", "content": answer}}]}
 
 
-def ok_embedding(vector=(1.0, 0.0, 0.5)):
-    return {"data": [{"embedding": list(vector)}]}
-
-
 class StubServer:
     """Serves scripted responses in order; repeats the last one when exhausted.
 

@@ -14,11 +14,10 @@ from semsearch.llm_gateway import (
     ResponseCache,
     RetryExhaustedError,
     TokenLogprobs,
-    embedding_digest,
     request_digest,
 )
 
-from stub_server import StubServer, no_logprobs_completion, ok_completion, ok_embedding
+from stub_server import StubServer, no_logprobs_completion, ok_completion
 
 
 def make_config(base_url, **overrides) -> GatewayConfig:
@@ -241,18 +240,6 @@ class TestDigest:
         assert request_digest("m", 0.5, "sys", "user") != base
         assert request_digest("m", 0.0, "sys2", "user") != base
         assert request_digest("m", 0.0, "sys", "user2") != base
-        assert embedding_digest("m", "user") != base
-
-
-class TestEmbed:
-    def test_embedding_round_trip(self, tmp_path):
-        with StubServer([("json", ok_embedding((0.1, 0.2, 0.3)))]) as server:
-            gateway = LLMGateway(make_config(server.base_url),
-                                 cache=ResponseCache(tmp_path / "c.jsonl"))
-            vec = gateway.embed("drill")
-            again = gateway.embed("drill")
-            assert len(server.requests) == 1
-        assert vec == again == (0.1, 0.2, 0.3)
 
 
 class TestRequestTypes:

@@ -11,6 +11,7 @@ from semsearch.planner import (
     PlannerConfig,
     PlannerError,
     WaypointScores,
+    _cost_to_go,
     path_cost,
     plan_optimal,
     waypoint_scores,
@@ -242,6 +243,28 @@ class TestPlanBounded:
         elapsed = time.perf_counter() - started
         assert sorted(plan.sequence) == sorted(ids)
         assert elapsed < 5.0
+
+    def test_equal_scores_on_a_star_complete_quickly(self):
+        # From the hub every visiting order ties exactly in floats, so only
+        # the walk's dominance rule keeps it from walking all of them.
+        ids = [f"leaf{i:02d}" for i in range(10)]
+        env = make_env([("hub", 0, 0)] + [(w, i, 1) for i, w in enumerate(ids)],
+                       [("hub", w, 1.0) for w in ids])
+        assert_matches_oracle(env, "hub", WaypointScores({w: 1 / 6 for w in ids[:6]}, 1.0),
+                              PlannerConfig())
+        started = time.perf_counter()
+        plan = plan_optimal(env, "hub", WaypointScores({w: 1 / 10 for w in ids}, 1.0))
+        elapsed = time.perf_counter() - started
+        assert plan.sequence == tuple(ids)
+        assert elapsed < 2.0
+
+    def test_starts_over_one_scored_set_share_a_table(self):
+        env, _, scores, config = _random_instance(random.Random(5))
+        _cost_to_go.cache_clear()
+        for start in env.waypoint_ids():
+            assert_matches_oracle(env, start, scores, config)
+        info = _cost_to_go.cache_info()
+        assert (info.misses, info.hits) == (1, len(env.waypoint_ids()) - 1)
 
     def test_over_cap_is_an_error(self):
         n = MAX_SCORED_WAYPOINTS + 1
