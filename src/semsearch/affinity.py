@@ -157,12 +157,8 @@ class LLMScorer:
     `answers` so episode logs can show what the model actually said.
     """
 
-    def __init__(self, gateway: LLMGateway, model: str | None = None,
-                 temperature: float = 0.0, max_tokens: int = 64):
+    def __init__(self, gateway: LLMGateway):
         self.gateway = gateway
-        self.model = model or gateway.config.model
-        self.temperature = temperature
-        self.max_tokens = max_tokens
         self.answers: dict[tuple[str, str], str] = {}
 
     def score(self, seen_label: str, target_label: str) -> TokenLogprobs:
@@ -170,9 +166,9 @@ class LLMScorer:
         result = self.gateway.complete(CompletionRequest(
             system_text=prompt.system_text,
             user_text=prompt.user_text,
-            model=self.model,
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
+            model=self.gateway.config.model,
+            temperature=0.0,
+            max_tokens=64,
         ))
         self.answers[(normalize_label(seen_label), normalize_label(target_label))] = result.answer_text
         return result.token_logprobs

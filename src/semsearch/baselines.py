@@ -66,15 +66,15 @@ class TableRoomScorer:
         self.default: float | None = None
         self._table: dict[tuple[str, str], float] = {}
         for key, value in table.items():
+            value = float(value)
+            if value < 0:
+                raise ValueError(f"room score for {key!r} is negative: {value}")
             if key == "default":
-                self.default = float(value)
+                self.default = value
                 continue
             if "|" not in key:
                 raise ValueError(f"room table key {key!r} is not 'room|target'")
             room, target = key.split("|", 1)
-            value = float(value)
-            if value < 0:
-                raise ValueError(f"room score for {key!r} is negative: {value}")
             self._table[(normalize_label(room), normalize_label(target))] = value
 
     def score_rooms(self, rooms: list[str], target_label: str) -> dict[str, float]:
@@ -107,20 +107,16 @@ _ROOM_LINE = re.compile(r"^\s*(.+?)\s*[:=]\s*(\d{1,3})\s*$")
 class LLMRoomScorer:
     """Elicits an integer 0-100 per room in one prompt; reprompts once on a bad reply."""
 
-    def __init__(self, gateway: LLMGateway, model: str | None = None,
-                 temperature: float = 0.0, max_tokens: int = 256):
+    def __init__(self, gateway: LLMGateway):
         self.gateway = gateway
-        self.model = model or gateway.config.model
-        self.temperature = temperature
-        self.max_tokens = max_tokens
 
     def _ask(self, user_text: str) -> str:
         result = self.gateway.complete(CompletionRequest(
             system_text=ROOM_SYSTEM_PROMPT,
             user_text=user_text,
-            model=self.model,
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
+            model=self.gateway.config.model,
+            temperature=0.0,
+            max_tokens=256,
         ))
         return result.answer_text
 
@@ -200,13 +196,12 @@ class HashEmbedder:
     is enough for deterministic tests and for exercising the ranking plumbing.
     """
 
-    def __init__(self, dim: int = 32):
-        self.dim = dim
+    DIM = 32
 
     def embed(self, text: str) -> tuple[float, ...]:
         digest = hashlib.sha256(normalize_label(text).encode("utf-8")).digest()
         rng = random.Random(int.from_bytes(digest[:8], "big"))
-        vec = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
+        vec = [rng.gauss(0.0, 1.0) for _ in range(self.DIM)]
         norm = math.sqrt(math.fsum(x * x for x in vec))
         return tuple(x / norm for x in vec)
 

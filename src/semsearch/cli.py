@@ -20,7 +20,7 @@ from . import baselines, metrics
 from .affinity import LLMScorer, TableScorer, score_distribution
 from .env_graph import GroundTruth, ScenarioConfig, load_scenario_path
 from .llm_gateway import GatewayConfig, LLMGateway, ResponseCache
-from .metrics import BatchReport, TrialRecord
+from .metrics import BatchReport, episode_row
 from .planner import PlannerConfig, SearchPlan, plan_optimal, waypoint_scores
 from .search_sim import SimulationParams, run_episode
 
@@ -105,7 +105,7 @@ def run_batch(cfg: ScenarioConfig, method: str, trials: int, seed: int, *,
     plan_from = planners[method]
 
     plans: dict[str, SearchPlan] = {}
-    records = []
+    rows = []
     for trial, (start, host) in enumerate(pairs):
         episode_seed = child_seed(seed, trial)
         result, error = None, ""
@@ -116,8 +116,8 @@ def run_batch(cfg: ScenarioConfig, method: str, trials: int, seed: int, *,
             result = run_episode(env, plans[start], truth, params, seed=episode_seed)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-        records.append(TrialRecord(trial, start, host, target, episode_seed, result, error))
-    return metrics.build_report(method, records)
+        rows.append(episode_row(trial, start, host, target, episode_seed, result, error))
+    return metrics.build_report(method, rows)
 
 
 def run_bench(cfg: ScenarioConfig, methods, trials: int, seed: int, *,
@@ -166,6 +166,16 @@ def _make_embedder(cfg: ScenarioConfig):
     if cfg.embeddings:
         return baselines.TableEmbedder(cfg.embeddings)
     return baselines.HashEmbedder()
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _planner_config(args) -> PlannerConfig:
@@ -288,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run seeded episodes of one method and write CSVs")
     _add_common(p)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--trials", type=int, default=15)
+    p.add_argument("--trials", type=_positive_int, default=15)
     p.add_argument("--seed", type=int, default=None, help="default: scenario seed")
     p.add_argument("--out", default="out", help="output directory for CSV files")
     p.set_defaults(func=cmd_run)
@@ -297,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--methods", nargs="*", default=None,
                    help=f"methods to compare (default: all of {', '.join(METHODS)})")
-    p.add_argument("--trials", type=int, default=15)
+    p.add_argument("--trials", type=_positive_int, default=15)
     p.add_argument("--seed", type=int, default=None, help="default: scenario seed")
     p.add_argument("--out", default="out", help="output directory for CSV files")
     p.set_defaults(func=cmd_bench)

@@ -206,6 +206,7 @@ class Environment:
             raise UnknownWaypointError(f"unknown waypoint {exc.args[0]!r}") from None
 
     def objects_at(self, waypoint_id: str) -> tuple[SeenObject, ...]:
+        """The waypoint's objects in instance_id order."""
         self._require(waypoint_id)
         return self._objects_by_waypoint[waypoint_id]
 

@@ -230,7 +230,7 @@ class GatewayConfig:
     burst: int = 4
 
     @classmethod
-    def from_env(cls, **overrides) -> "GatewayConfig":
+    def from_env(cls) -> "GatewayConfig":
         def first_env(names):
             for name in names:
                 value = os.environ.get(name)
@@ -238,15 +238,11 @@ class GatewayConfig:
                     return value
             return None
 
-        cfg = cls(
+        return cls(
             base_url=first_env(ENV_BASE_URL) or DEFAULT_BASE_URL,
             api_key=first_env(ENV_API_KEY),
             model=first_env(ENV_MODEL) or DEFAULT_MODEL,
         )
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(cfg, key, value)
-        return cfg
 
 
 def _backoff_delays(config: GatewayConfig):
@@ -258,11 +254,10 @@ def _backoff_delays(config: GatewayConfig):
 class LLMGateway:
     """Thread-safe client: cache lookup first, then rate-limited POST with retries."""
 
-    def __init__(self, config: GatewayConfig, cache: ResponseCache | None = None,
-                 session: requests.Session | None = None):
+    def __init__(self, config: GatewayConfig, cache: ResponseCache | None = None):
         self.config = config
         self.cache = cache
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self._in_flight = threading.Semaphore(config.max_in_flight)
         self._bucket = TokenBucket(config.requests_per_second, config.burst)
 

@@ -1,4 +1,11 @@
-"""Episode metrics: success rate, SPL, and path efficiency, plus batch reports."""
+"""Episode metrics and batch reports.
+
+Each attempted trial becomes one `EpisodeRow`, built once by `episode_row`:
+its outcome, SPL term and path efficiency are computed there and nowhere
+else. A batch's SR, SPL and PE are aggregated from its rows, and the four
+CSV writers format the same rows. `success_rate` and `spl` are the
+per-result definitions the row aggregates are checked against.
+"""
 
 from __future__ import annotations
 
@@ -10,17 +17,12 @@ from typing import NamedTuple
 from .search_sim import EpisodeResult, Outcome
 
 
-def success_rate(results: list[EpisodeResult], attempts: int | None = None) -> float:
-    """Fraction of attempts ending FOUND; every other outcome is a failure.
-
-    `attempts` defaults to len(results); attempts beyond the results are
-    trials that errored and count as failures.
-    """
-    attempts = len(results) if attempts is None else attempts
-    if not attempts:
+def success_rate(results: list[EpisodeResult]) -> float:
+    """Fraction of results ending FOUND; every other outcome is a failure."""
+    if not results:
         raise ValueError("empty result batch")
     found = sum(1 for r in results if r.outcome is Outcome.FOUND)
-    return found / attempts
+    return found / len(results)
 
 
 def spl_term(result: EpisodeResult) -> float:
@@ -34,12 +36,11 @@ def spl_term(result: EpisodeResult) -> float:
     return success * p_s / max(p_i, p_s)
 
 
-def spl(results: list[EpisodeResult], attempts: int | None = None) -> float:
-    """Mean SPL term over attempts; errored trials beyond the results add 0."""
-    attempts = len(results) if attempts is None else attempts
-    if not attempts:
+def spl(results: list[EpisodeResult]) -> float:
+    """Mean SPL term over the results."""
+    if not results:
         raise ValueError("empty result batch")
-    return math.fsum(spl_term(r) for r in results) / attempts
+    return math.fsum(spl_term(r) for r in results) / len(results)
 
 
 def path_efficiency(result: EpisodeResult) -> float:
@@ -56,21 +57,8 @@ def pe_defined(result: EpisodeResult) -> bool:
     return result.ideal_length > 0 and result.traversed_length > 0
 
 
-class TrialRecord(NamedTuple):
-    """One attempted trial: its sampling context, then its result or its error."""
-
-    trial: int
-    start: str
-    host_object: str
-    target_label: str
-    seed: int
-    result: EpisodeResult | None   # None when the trial raised
-    error: str = ""
-
-
-@dataclass(frozen=True)
-class EpisodeRow:
-    """One trial's report row; the defaults are those of a trial that raised."""
+class EpisodeRow(NamedTuple):
+    """One attempted trial's report row; the defaults are those of a trial that raised."""
 
     trial: int
     start: str
@@ -82,10 +70,8 @@ class EpisodeRow:
     ideal_m: float = 0.0
     spl_term: float = 0.0
     pe: float | None = None  # None when excluded from PE aggregates
-    consumed: float = 0.0
-    steps: int = 0
     error: str = ""
-    trace: tuple = ()        # per-step records; not part of the episode CSV row
+    trace: tuple = ()        # the episode's StepRecords
 
 
 @dataclass(frozen=True)
@@ -100,43 +86,34 @@ class BatchReport:
     rows: tuple[EpisodeRow, ...]
 
 
-def episode_row(record: TrialRecord) -> EpisodeRow:
-    """The report row of one attempted trial."""
-    result = record.result
-    context = (record.trial, record.start, record.host_object, record.target_label,
-               record.seed)
+def episode_row(trial: int, start: str, host_object: str, target_label: str, seed: int,
+                result: EpisodeResult | None, error: str = "") -> EpisodeRow:
+    """The report row of one attempted trial; `result` is None when it raised."""
     if result is None:
-        return EpisodeRow(*context, error=record.error)
-    return EpisodeRow(
-        *context,
-        outcome=result.outcome.value,
-        traversed_m=result.traversed_length,
-        ideal_m=result.ideal_length,
-        spl_term=spl_term(result),
-        pe=path_efficiency(result) if pe_defined(result) else None,
-        consumed=result.steps[-1].consumed if result.steps else 0.0,
-        steps=len(result.steps),
-        trace=result.steps,
-    )
+        return EpisodeRow(trial, start, host_object, target_label, seed, error=error)
+    return EpisodeRow(trial, start, host_object, target_label, seed, result.outcome.value,
+                      result.traversed_length, result.ideal_length, spl_term(result),
+                      path_efficiency(result) if pe_defined(result) else None,
+                      trace=result.steps)
 
 
-def build_report(method: str, records: list[TrialRecord]) -> BatchReport:
+def build_report(method: str, rows: list[EpisodeRow]) -> BatchReport:
     """Aggregate a batch over every attempted trial, rows in the given order.
 
     A trial that raised is a failed attempt in SR and SPL and has no PE.
     """
-    rows = tuple(episode_row(record) for record in records)
-    results = [record.result for record in records if record.result is not None]
+    rows = tuple(rows)
+    attempts = len(rows)
+    found = sum(1 for row in rows if row.outcome == Outcome.FOUND.value)
     pe_values = [row.pe for row in rows if row.pe is not None]
     pe_mean = math.fsum(pe_values) / len(pe_values) if pe_values else 0.0
     # Population standard deviation: deterministic and well defined for N=1.
     pe_std = math.sqrt(math.fsum((v - pe_mean) ** 2 for v in pe_values) / len(pe_values)) if pe_values else 0.0
-    attempts = len(records)
     return BatchReport(
         method=method,
         episodes=attempts,
-        sr=success_rate(results, attempts) if attempts else 0.0,
-        spl=spl(results, attempts) if attempts else 0.0,
+        sr=found / attempts if attempts else 0.0,
+        spl=math.fsum(row.spl_term for row in rows) / attempts if attempts else 0.0,
         pe_mean=pe_mean,
         pe_std=pe_std,
         pe_excluded=attempts - len(pe_values),
@@ -144,7 +121,7 @@ def build_report(method: str, records: list[TrialRecord]) -> BatchReport:
     )
 
 
-# -- CSV serialization ----------------------------------------------------------
+# -- CSV serialization: floats as .10g ------------------------------------------
 
 EPISODE_COLUMNS = ["method", "trial", "start", "host_object", "target_label", "seed",
                    "outcome", "traversed_m", "ideal_m", "spl_term", "pe", "pe_included",
@@ -153,62 +130,54 @@ EPISODE_COLUMNS = ["method", "trial", "start", "host_object", "target_label", "s
 SUMMARY_COLUMNS = ["method", "episodes", "sr", "spl", "pe_mean", "pe_std", "pe_excluded"]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_episode_csv(reports: list[BatchReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EPISODE_COLUMNS)
-        for report in reports:
-            for row in report.rows:
-                writer.writerow([
-                    report.method, row.trial, row.start, row.host_object, row.target_label,
-                    row.seed, row.outcome, _fmt(row.traversed_m), _fmt(row.ideal_m),
-                    _fmt(row.spl_term), _fmt(row.pe) if row.pe is not None else "",
-                    int(row.pe is not None), _fmt(row.consumed), row.steps, row.error,
-                ])
+    """One row per trial; `consumed` and `steps` are read off the trace."""
+    _write_csv(path, EPISODE_COLUMNS, (
+        (report.method, row.trial, row.start, row.host_object, row.target_label, row.seed,
+         row.outcome, f"{row.traversed_m:.10g}", f"{row.ideal_m:.10g}",
+         f"{row.spl_term:.10g}", "" if row.pe is None else f"{row.pe:.10g}",
+         int(row.pe is not None), f"{row.trace[-1].consumed:.10g}" if row.trace else "0",
+         len(row.trace), row.error)
+        for report in reports for row in report.rows))
 
 
 def write_summary_csv(reports: list[BatchReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for r in reports:
-            writer.writerow([r.method, r.episodes, _fmt(r.sr), _fmt(r.spl),
-                             _fmt(r.pe_mean), _fmt(r.pe_std), r.pe_excluded])
+    _write_csv(path, SUMMARY_COLUMNS, (
+        (r.method, r.episodes, f"{r.sr:.10g}", f"{r.spl:.10g}", f"{r.pe_mean:.10g}",
+         f"{r.pe_std:.10g}", r.pe_excluded)
+        for r in reports))
 
 
 def write_steps_csv(reports: list[BatchReport], path) -> None:
     """Episode traces, one record per visited waypoint."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "trial", "step", "waypoint", "leg_m", "consumed",
-                         "detection", "instance_id"])
-        for report in reports:
-            for row in report.rows:
-                for index, step in enumerate(row.trace):
-                    writer.writerow([
-                        report.method, row.trial, index, step.waypoint,
-                        _fmt(step.leg_meters), _fmt(step.consumed),
-                        step.detection.kind, step.detection.instance_id or "",
-                    ])
+    _write_csv(path, ["method", "trial", "step", "waypoint", "leg_m", "consumed",
+                      "detection", "instance_id"], (
+        (report.method, row.trial, index, step.waypoint, f"{step.leg_meters:.10g}",
+         f"{step.consumed:.10g}", step.detection.kind, step.detection.instance_id or "")
+        for report in reports for row in report.rows
+        for index, step in enumerate(row.trace)))
+
+
+def _long_rows(reports: list[BatchReport]):
+    for report in reports:
+        method = report.method
+        for row in report.rows:
+            trial = row.trial
+            yield method, trial, "found", int(row.outcome == Outcome.FOUND.value)
+            yield method, trial, "traversed_m", f"{row.traversed_m:.10g}"
+            yield method, trial, "ideal_m", f"{row.ideal_m:.10g}"
+            yield method, trial, "spl_term", f"{row.spl_term:.10g}"
+            if row.pe is not None:
+                yield method, trial, "pe", f"{row.pe:.10g}"
 
 
 def write_long_csv(reports: list[BatchReport], path) -> None:
     """Plot-ready long format: one (method, trial, metric, value) row per datum."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "trial", "metric", "value"])
-        for report in reports:
-            for row in report.rows:
-                writer.writerow([report.method, row.trial, "found",
-                                 int(row.outcome == Outcome.FOUND.value)])
-                writer.writerow([report.method, row.trial, "traversed_m", _fmt(row.traversed_m)])
-                writer.writerow([report.method, row.trial, "ideal_m", _fmt(row.ideal_m)])
-                writer.writerow([report.method, row.trial, "spl_term", _fmt(row.spl_term)])
-                if row.pe is not None:
-                    writer.writerow([report.method, row.trial, "pe", _fmt(row.pe)])
+    _write_csv(path, ["method", "trial", "metric", "value"], _long_rows(reports))

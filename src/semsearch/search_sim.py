@@ -78,8 +78,11 @@ class EpisodeResult:
 
 def inspect(objects: Iterable["SeenObject"], truth: "GroundTruth",
             perception: PerceptionModel, rng: random.Random) -> DetectionOutcome:
-    """Draw one detection per object in instance_id order; first trigger wins."""
-    for obj in sorted(objects, key=lambda o: o.instance_id):
+    """Draw one detection per object in the given order; first trigger wins.
+
+    The order must be instance_id order, as `Environment.objects_at` returns it.
+    """
+    for obj in objects:
         if obj.instance_id == truth.host_object:
             if rng.random() < perception.true_positive_rate:
                 return DetectionOutcome(DetectionOutcome.TRUE_POSITIVE, obj.instance_id)

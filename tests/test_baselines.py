@@ -100,6 +100,8 @@ class TestRoomScores:
             RoomDistribution({"a": 1.5, "b": -0.5})
         with pytest.raises(ValueError, match="'barn' is not 'room"):
             TableRoomScorer({"barn": 1})
+        with pytest.raises(ValueError, match="'default' is negative"):
+            TableRoomScorer({"shed|drill": 1, "default": -1})
 
 
 class TestSimilarityRank:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -136,6 +137,17 @@ class TestRun:
             outs.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("command, flag", [("run", "--method"), ("bench", "--methods")])
+    @pytest.mark.parametrize("trials", ["0", "-3", "two"])
+    def test_trials_must_be_positive(self, tmp_path, capsys, command, flag, trials):
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--scenario", str(FARM_SCENARIO), flag, "losae",
+                    "--trials", trials, "--out", str(out_dir))
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_room_search_method(self, tmp_path):
         out_dir = tmp_path / "out"
         assert run_cli("run", "--scenario", str(FARM_SCENARIO), "--method", "room_search",
@@ -224,3 +236,37 @@ class TestBench:
                        "--trials", "3", "--out", str(out_dir)) == 0
         summary = read_csv(out_dir / "summary.csv")
         assert [r["method"] for r in summary] == ["losae"]
+
+
+# SHA-256 of each CSV from `bench --trials 200 --seed 5`; any change to a
+# sampled value, a float's formatting or a row's order shows here.
+FARM_DIGESTS = {
+    "episodes.csv": "4ffe16c1af2fad59523194bd677ba9e324359b7635d631eb7e4c0cc20a9fbf34",
+    "summary.csv": "4567029e206b7ab56e81bcec6c4e05657ffd528c3518bc5b6cf95ca6c59dd15c",
+    "steps.csv": "d829c035ebb8feb8de137ada4571f2f87d3a820732e87c6ef75a8170b8dbe976",
+    "long.csv": "b472e61ecfe17aa38f2abe784ceb01b22badd462b4bdc2388aaa6bfb77cad3fd",
+}
+NOISY_DIGESTS = {  # the farm with perception TPR 0.8 / FPR 0.05
+    "episodes.csv": "142c7ce3485a471fb6ca0dfee5dd1341c8b19ea9c16caf7e9ce9880bb79f19b8",
+    "summary.csv": "6c5b7b4ea04d6a1cf954d9bf956a5d368873d53293f3d6b2024c6af4ba06477c",
+    "steps.csv": "0748f865cb5d62a67bbcf910e9cddc6e3ca5157a5f202f15dee7b98d87edfa4c",
+    "long.csv": "44f3c890af2001f53dc246e42d4843d2d943e0ac6b79449ea9e19249b9e75873",
+}
+
+
+class TestPinnedOutput:
+    def bench_digests(self, scenario, out_dir):
+        assert run_cli("bench", "--scenario", str(scenario), "--trials", "200",
+                       "--seed", "5", "--out", str(out_dir)) == 0
+        return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                for name in FARM_DIGESTS}
+
+    def test_farm_bench_bytes(self, tmp_path):
+        assert self.bench_digests(FARM_SCENARIO, tmp_path / "out") == FARM_DIGESTS
+
+    def test_noisy_farm_bench_bytes(self, tmp_path, farm_doc):
+        doc = {**farm_doc, "perception": {"true_positive_rate": 0.8,
+                                          "false_positive_rate": 0.05}}
+        scenario = tmp_path / "noisy.json"
+        scenario.write_text(json.dumps(doc))
+        assert self.bench_digests(scenario, tmp_path / "out") == NOISY_DIGESTS

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from semsearch.env_graph import GroundTruth
 from semsearch.metrics import (
-    TrialRecord,
     build_report,
+    episode_row,
     path_efficiency,
     pe_defined,
     spl,
@@ -149,13 +149,13 @@ class TestScaleInvariance:
 
 
 class TestBatchReport:
-    def records(self, results):
-        return [TrialRecord(i, "s", f"obj-{i}", "drill", r.seed, r)
+    def rows(self, results):
+        return [episode_row(i, "s", f"obj-{i}", "drill", r.seed, r)
                 for i, r in enumerate(results)]
 
     def test_aggregates(self):
         results = [found(10.0, 10.0), found(12.5, 10.0), failed(traversed=25.0, ideal=5.0)]
-        report = build_report("losae", self.records(results))
+        report = build_report("losae", self.rows(results))
         assert report.episodes == 3
         assert report.sr == pytest.approx(2 / 3)
         assert report.spl == pytest.approx((1.0 + 0.8) / 3)
@@ -167,7 +167,7 @@ class TestBatchReport:
 
     def test_zero_ideal_excluded_from_pe_and_annotated(self):
         results = [found(0.0, 0.0), found(10.0, 10.0)]
-        report = build_report("losae", self.records(results))
+        report = build_report("losae", self.rows(results))
         assert report.pe_excluded == 1
         assert report.pe_mean == 1.0
         assert report.spl == 1.0  # the start-hosted success still counts fully
@@ -177,9 +177,11 @@ class TestBatchReport:
         for _ in range(50):
             results = [episode(rng.choice(list(Outcome)), rng.uniform(0, 30), rng.uniform(0, 30))
                        for _ in range(rng.randint(1, 12))]
-            report = build_report("x", self.records(results))
+            report = build_report("x", self.rows(results))
             assert 0.0 <= report.sr <= 1.0
             assert report.spl <= report.sr + 1e-12
+            assert report.sr == success_rate(results)
+            assert report.spl == spl(results)
 
     def test_adding_failure_decreases_sr_and_spl(self):
         base = [found(10.0, 10.0), found(12.5, 10.0)]
