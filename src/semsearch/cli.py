@@ -17,7 +17,7 @@ from collections.abc import Callable
 from pathlib import Path
 
 from . import baselines, metrics
-from .affinity import LLMScorer, TableScorer, score_distribution
+from .affinity import LLMScorer, TableScorer, normalize_label, score_distribution
 from .env_graph import GroundTruth, ScenarioConfig, load_scenario_path
 from .llm_gateway import GatewayConfig, LLMGateway, ResponseCache
 from .metrics import BatchReport, episode_row
@@ -53,6 +53,7 @@ def compute_artifacts(cfg: ScenarioConfig, methods, target: str, affinity_scorer
 
     The scores are independent of the sampled start and host, so one set
     serves every trial. An unknown method is an error before any scoring.
+    Room Search ranks labels with `embedder`, or `HashEmbedder` when it is None.
     """
     for method in methods:
         if method not in METHODS:
@@ -82,56 +83,52 @@ def compute_artifacts(cfg: ScenarioConfig, methods, target: str, affinity_scorer
     return planners
 
 
-def run_batch(cfg: ScenarioConfig, method: str, trials: int, seed: int, *,
-              target: str | None = None, planners: dict[str, Planner] | None = None,
-              affinity_scorer=None, room_scorer=None, embedder=None,
-              planner_config: PlannerConfig | None = None,
-              params: SimulationParams | None = None,
-              pairs: list[tuple[str, str]] | None = None) -> BatchReport:
-    """Run `trials` episodes of one method; failures are recorded, not raised.
-
-    A trial that raises is written as an error row and counts as a failed
-    attempt in SR and SPL.
-    """
-    env = cfg.env
-    target = target or cfg.truth.target_label
-    config = planner_config or PlannerConfig()
-    params = params or cfg.params
-    if pairs is None:
-        pairs = sample_pairs(env, trials, seed)
-    if planners is None:
-        planners = compute_artifacts(cfg, [method], target, affinity_scorer,
-                                     room_scorer, embedder)
-    plan_from = planners[method]
-
-    plans: dict[str, SearchPlan] = {}
-    rows = []
-    for trial, (start, host) in enumerate(pairs):
-        episode_seed = child_seed(seed, trial)
-        result, error = None, ""
-        try:
-            if start not in plans:
-                plans[start] = plan_from(start, config)
-            truth = GroundTruth(target_label=target, host_object=host)
-            result = run_episode(env, plans[start], truth, params, seed=episode_seed)
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        rows.append(episode_row(trial, start, host, target, episode_seed, result, error))
-    return metrics.build_report(method, rows)
+def run_batch(cfg: ScenarioConfig, method: str, trials: int, seed: int,
+              **options) -> BatchReport:
+    """`run_bench` over one method; `options` are its keyword arguments."""
+    return run_bench(cfg, [method], trials, seed, **options)[0]
 
 
 def run_bench(cfg: ScenarioConfig, methods, trials: int, seed: int, *,
               target: str | None = None, affinity_scorer=None, room_scorer=None,
               embedder=None, planner_config: PlannerConfig | None = None,
               params: SimulationParams | None = None) -> list[BatchReport]:
-    """One BatchReport per method over the same sampled (start, host) sequence."""
+    """One BatchReport per method over the same `trials` sampled trials.
+
+    Each trial's start, host object and episode seed are drawn once and every
+    method runs over them, so the comparison is paired. Failures are recorded,
+    not raised: a trial that raises is written as an error row and counts as a
+    failed attempt in SR and SPL.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    env = cfg.env
     target = target or cfg.truth.target_label
+    config = planner_config or PlannerConfig()
+    params = params or cfg.params
     planners = compute_artifacts(cfg, methods, target, affinity_scorer,
                                  room_scorer, embedder)
-    pairs = sample_pairs(cfg.env, trials, seed)
-    return [run_batch(cfg, method, trials, seed, target=target, planners=planners,
-                      planner_config=planner_config, params=params, pairs=pairs)
-            for method in methods]
+    draws = [(trial, start, child_seed(seed, trial),
+              GroundTruth(target_label=target, host_object=host))
+             for trial, (start, host) in enumerate(sample_pairs(env, trials, seed))]
+
+    reports = []
+    for method in methods:
+        plan_from = planners[method]
+        plans: dict[str, SearchPlan] = {}
+        rows = []
+        for trial, start, episode_seed, truth in draws:
+            result, error = None, ""
+            try:
+                if start not in plans:
+                    plans[start] = plan_from(start, config)
+                result = run_episode(env, plans[start], truth, params, seed=episode_seed)
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            rows.append(episode_row(trial, start, truth.host_object, target, episode_seed,
+                                    result, error))
+        reports.append(metrics.build_report(method, rows))
+    return reports
 
 
 # -- scorer construction -----------------------------------------------------------
@@ -141,31 +138,34 @@ def _make_gateway(args) -> LLMGateway:
     return LLMGateway(GatewayConfig.from_env(), cache=cache)
 
 
-def _make_affinity_scorer(cfg: ScenarioConfig, args):
+def _make_scorers(cfg: ScenarioConfig, args, methods):
+    """(affinity scorer, room scorer) for `methods`, None where no method needs one.
+
+    The scorer kind is resolved once. With the llm kind both scorers share one
+    gateway, so a command reads its cache file and fills its rate limit once;
+    the table kind builds no gateway.
+    """
     kind = args.scorer or (cfg.scorer.kind if cfg.scorer else None)
-    if kind is None:
-        raise ValueError("scenario declares no scorer; pass --scorer llm|table")
-    if kind == "table":
-        table = cfg.scorer.table if cfg.scorer else None
-        if not table:
-            raise ValueError("table scorer requested but the scenario has no affinity table")
-        return TableScorer(table)
-    return LLMScorer(_make_gateway(args))
-
-
-def _make_room_scorer(cfg: ScenarioConfig, args):
-    if cfg.room_scores:
-        return baselines.TableRoomScorer(cfg.room_scores)
-    kind = args.scorer or (cfg.scorer.kind if cfg.scorer else None)
-    if kind == "llm":
-        return baselines.LLMRoomScorer(_make_gateway(args))
-    raise ValueError("room_search needs a room_scores table in the scenario or --scorer llm")
-
-
-def _make_embedder(cfg: ScenarioConfig):
-    if cfg.embeddings:
-        return baselines.TableEmbedder(cfg.embeddings)
-    return baselines.HashEmbedder()
+    affinity_scorer = room_scorer = gateway = None
+    if AFFINITY_METHODS.intersection(methods):
+        if kind is None:
+            raise ValueError("scenario declares no scorer; pass --scorer llm|table")
+        if kind == "table":
+            table = cfg.scorer.table if cfg.scorer else None
+            if not table:
+                raise ValueError("table scorer requested but the scenario has no affinity table")
+            affinity_scorer = TableScorer(table)
+        else:
+            gateway = _make_gateway(args)
+            affinity_scorer = LLMScorer(gateway)
+    if "room_search" in methods:
+        if cfg.room_scores:
+            room_scorer = baselines.TableRoomScorer(cfg.room_scores)
+        elif kind == "llm":
+            room_scorer = baselines.LLMRoomScorer(gateway or _make_gateway(args))
+        else:
+            raise ValueError("room_search needs a room_scores table in the scenario or --scorer llm")
+    return affinity_scorer, room_scorer
 
 
 def _positive_int(text: str) -> int:
@@ -187,7 +187,7 @@ def _planner_config(args) -> PlannerConfig:
 def cmd_score(args) -> int:
     cfg = load_scenario_path(args.scenario)
     target = args.target or cfg.truth.target_label
-    scorer = _make_affinity_scorer(cfg, args)
+    scorer, _ = _make_scorers(cfg, args, AFFINITY_METHODS)
     dist = score_distribution(scorer, cfg.env.labels(), target, parallel=args.parallel)
     print(f"target: {dist.target_label}")
     print(f"{'label':<24} {'probability':>12} {'raw':>12}")
@@ -206,12 +206,10 @@ def cmd_plan(args) -> int:
     env = cfg.env
     target = args.target or cfg.truth.target_label
     start = args.start or next(iter(env.waypoints))
-    scorer = _make_affinity_scorer(cfg, args)
+    scorer, _ = _make_scorers(cfg, args, ["losae"])
     config = _planner_config(args)
-    dist = score_distribution(scorer, env.labels(), target)
-    scores = waypoint_scores(env, dist)
-    plan = plan_optimal(env, start, scores, config)
-    print(f"start: {plan.start}  target: {dist.target_label}  mode: {plan.mode}")
+    plan = compute_artifacts(cfg, ["losae"], target, scorer)["losae"](start, config)
+    print(f"start: {plan.start}  target: {normalize_label(target)}  mode: {plan.mode}")
     print(f"{'rank':>4} {'waypoint':<16} {'leg(norm)':>10} {'leg(m)':>10} {'score':>10} {'cum_prob':>10}")
     position = plan.start
     for rank, step in enumerate(plan.per_step, 1):
@@ -236,13 +234,13 @@ def _bench(args, methods) -> int:
     code 1 when any trial errored."""
     cfg = load_scenario_path(args.scenario)
     seed = args.seed if args.seed is not None else cfg.params.seed
-    needs_affinity = AFFINITY_METHODS.intersection(methods)
+    affinity_scorer, room_scorer = _make_scorers(cfg, args, methods)
     reports = run_bench(
         cfg, methods, args.trials, seed,
         target=args.target,
-        affinity_scorer=_make_affinity_scorer(cfg, args) if needs_affinity else None,
-        room_scorer=_make_room_scorer(cfg, args) if "room_search" in methods else None,
-        embedder=_make_embedder(cfg),
+        affinity_scorer=affinity_scorer,
+        room_scorer=room_scorer,
+        embedder=baselines.TableEmbedder(cfg.embeddings) if cfg.embeddings else None,
         planner_config=_planner_config(args),
     )
     out_dir = Path(args.out)

@@ -257,6 +257,7 @@ class LLMGateway:
     def __init__(self, config: GatewayConfig, cache: ResponseCache | None = None):
         self.config = config
         self.cache = cache
+        self._url = config.base_url.rstrip("/") + "/chat/completions"
         self._session = requests.Session()
         self._in_flight = threading.Semaphore(config.max_in_flight)
         self._bucket = TokenBucket(config.requests_per_second, config.burst)
@@ -285,7 +286,7 @@ class LLMGateway:
                 {"role": "user", "content": request.user_text},
             ],
         }
-        data, latency_ms = self._post_with_retries("/chat/completions", body)
+        data, latency_ms = self._post_with_retries(body)
         result = self._parse_completion(data, latency_ms)
         if self.cache is not None:
             self.cache.store(key, _result_to_payload(result))
@@ -317,8 +318,7 @@ class LLMGateway:
 
     # -- transport ----------------------------------------------------------
 
-    def _post_with_retries(self, route: str, body: dict) -> tuple[dict, float]:
-        url = self.config.base_url.rstrip("/") + route
+    def _post_with_retries(self, body: dict) -> tuple[dict, float]:
         headers = {"Authorization": f"Bearer {self.config.api_key}", "Content-Type": "application/json"}
         delays = list(_backoff_delays(self.config))
         last_failure = "no attempt made"
@@ -328,7 +328,7 @@ class LLMGateway:
             try:
                 with self._in_flight:
                     response = self._session.post(
-                        url, json=body, headers=headers, timeout=self.config.timeout_s
+                        self._url, json=body, headers=headers, timeout=self.config.timeout_s
                     )
             except requests.RequestException as exc:
                 last_failure = f"transport error: {exc}"

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+from semsearch import cli
 from semsearch.affinity import TableScorer
-from semsearch.cli import METHODS, main, run_batch, sample_pairs
+from semsearch.baselines import TableRoomScorer
+from semsearch.cli import METHODS, main, run_batch, run_bench, sample_pairs
 
 from conftest import FARM_SCENARIO, REPO_ROOT
 
@@ -157,11 +159,12 @@ class TestRun:
 
 
 class TestRunBatch:
-    def test_errored_trials_count_as_failed_attempts(self, farm_cfg):
+    def test_errored_trials_count_as_failed_attempts(self, farm_cfg, monkeypatch):
         pairs = sample_pairs(farm_cfg.env, 4, 3)
         pairs[1] = (pairs[1][0], "obj-missing")
         pairs[2] = (pairs[2][0], "obj-missing")
-        report = run_batch(farm_cfg, "losae", 4, 3, pairs=pairs,
+        monkeypatch.setattr(cli, "sample_pairs", lambda env, trials, seed: pairs)
+        report = run_batch(farm_cfg, "losae", 4, 3,
                            affinity_scorer=TableScorer(farm_cfg.scorer.table))
         assert [row.trial for row in report.rows] == [0, 1, 2, 3]
         errors = [row for row in report.rows if row.error]
@@ -177,6 +180,28 @@ class TestRunBatch:
         pes = [row.pe for row in report.rows if row.pe is not None]
         assert report.pe_excluded == 4 - len(pes)
         assert report.pe_mean == math.fsum(pes) / len(pes)
+
+    @pytest.mark.parametrize("run, methods, trials", [
+        (run_bench, list(METHODS), 0),
+        (run_batch, "losae", -3),
+    ], ids=["run_bench", "run_batch"])
+    def test_trials_must_be_positive_before_scoring(self, farm_cfg, run, methods, trials):
+        calls = []
+
+        class Recording(TableScorer):
+            def score(self, *args):
+                calls.append(args)
+                return super().score(*args)
+
+        class RecordingRooms(TableRoomScorer):
+            def score_rooms(self, *args):
+                calls.append(args)
+                return super().score_rooms(*args)
+
+        with pytest.raises(ValueError, match=f"got {trials}"):
+            run(farm_cfg, methods, trials, 3, affinity_scorer=Recording(farm_cfg.scorer.table),
+                room_scorer=RecordingRooms(farm_cfg.room_scores))
+        assert calls == []
 
 
 class TestModuleEntry:
@@ -229,6 +254,36 @@ class TestBench:
             outs.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
         assert len(outs[0]) == 4
         assert outs[0] == outs[1]
+
+    def test_llm_scorers_share_one_gateway(self, tmp_path, monkeypatch, farm_cfg, farm_doc):
+        from stub_server import StubServer, ok_completion
+
+        built = []
+
+        class Recorded(cli.LLMGateway):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "LLMGateway", Recorded)
+        doc = {key: value for key, value in farm_doc.items() if key != "room_scores"}
+        scenario = tmp_path / "no-room-table.json"
+        scenario.write_text(json.dumps(doc))
+        rooms = "\n".join(f"{room['name']}: 50" for room in farm_doc["rooms"])
+        script = [("json", ok_completion())] * len(farm_cfg.env.labels())
+        script.append(("json", ok_completion(answer=rooms)))
+        with StubServer(script) as server:
+            monkeypatch.setenv("SEMSEARCH_BASE_URL", server.base_url)
+            monkeypatch.setenv("SEMSEARCH_API_KEY", "test-key")
+            assert run_cli("bench", "--scenario", str(scenario), "--scorer", "llm",
+                           "--methods", "losae", "room_search", "--cache",
+                           str(tmp_path / "cache.jsonl"), "--trials", "2",
+                           "--out", str(tmp_path / "llm")) == 0
+            assert len(server.requests) == len(script)
+        assert len(built) == 1
+        assert run_cli("bench", "--scenario", str(FARM_SCENARIO), "--trials", "2",
+                       "--out", str(tmp_path / "table")) == 0
+        assert len(built) == 1
 
     def test_single_method(self, tmp_path):
         out_dir = tmp_path / "out"
