@@ -13,7 +13,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from .llm_gateway import CompletionRequest, LLMGateway, TokenLogprobs
 
@@ -113,7 +113,6 @@ def split_across_instances(dist: AffinityDistribution, objects) -> dict[str, flo
     return result
 
 
-@runtime_checkable
 class AffinityScorer(Protocol):
     def score(self, seen_label: str, target_label: str) -> "TokenLogprobs | float": ...
 
@@ -167,7 +166,6 @@ class LLMScorer:
             system_text=prompt.system_text,
             user_text=prompt.user_text,
             model=self.gateway.config.model,
-            temperature=0.0,
             max_tokens=64,
         ))
         self.answers[(normalize_label(seen_label), normalize_label(target_label))] = result.answer_text

@@ -115,7 +115,6 @@ class LLMRoomScorer:
             system_text=ROOM_SYSTEM_PROMPT,
             user_text=user_text,
             model=self.gateway.config.model,
-            temperature=0.0,
             max_tokens=256,
         ))
         return result.answer_text
@@ -246,13 +245,11 @@ def _room_representative(env, room) -> str:
     return min(sorted(room.waypoints), key=lambda w: (math.dist((env.waypoints[w].x, env.waypoints[w].y), (cx, cy)), w))
 
 
-def _room_visit_order(env, room, ranking: SimilarityRanking, skip: set[str]) -> list[str]:
+def _room_visit_order(env, room, ranking: SimilarityRanking) -> list[str]:
     """Object-bearing waypoints of the room, best hosted similarity first."""
     sims = dict(ranking.entries)
     candidates = []
     for wid in sorted(set(room.waypoints)):
-        if wid in skip:
-            continue
         hosted = env.objects_at(wid)
         if not hosted:
             continue
@@ -270,6 +267,12 @@ def plan_room_search(env, room_dist: RoomDistribution, start: str,
     room probabilities are renormalized before choosing the next room, so each
     room is entered at most once. Consumed probability is ledgered against the
     original (unrenormalized) room masses.
+
+    A room's sweep is its object-bearing waypoints in similarity order, or its
+    representative waypoint when none hosts an object. The plan appends the
+    sweep waypoints not yet visited and splits the room's mass evenly among
+    them. When rooms overlap and every sweep waypoint was already visited for
+    an earlier room, the mass goes to the sweep waypoint visited last.
     """
     config = config or PlannerConfig()
     if not room_dist.entries:
@@ -303,20 +306,17 @@ def plan_room_search(env, room_dist: RoomDistribution, start: str,
             room = min((r for r in remaining if reps[r] == first_rep),
                        key=lambda r: (-renorm[r], r))
 
-        visits = _room_visit_order(env, env.rooms[room], ranking, skip=set(sequence))
-        if not visits and reps[room] not in sequence:
-            visits = [reps[room]]
+        sweep = _room_visit_order(env, env.rooms[room], ranking) or [reps[room]]
+        visits = [wid for wid in sweep if wid not in sequence]
         mass = remaining.pop(room)
         if visits:
             share = mass / len(visits)
             for wid in visits:
                 sequence.append(wid)
-                step_scores[wid] = step_scores.get(wid, 0.0) + share
+                step_scores[wid] = share
             position = visits[-1]
-        elif sequence:
-            # Every candidate waypoint was already covered by an earlier room;
-            # the mass is consumed by the step that completed the overlap.
-            step_scores[sequence[-1]] += mass
+        else:
+            step_scores[max(sweep, key=sequence.index)] += mass
 
     return make_plan(env, start, sequence, step_scores, config, "room_search",
                      total_mass=math.fsum(room_dist.entries.values()))

@@ -52,12 +52,15 @@ def compute_artifacts(cfg: ScenarioConfig, methods, target: str, affinity_scorer
     """Score once per run and return each method's planner: (start, config) -> plan.
 
     The scores are independent of the sampled start and host, so one set
-    serves every trial. An unknown method is an error before any scoring.
-    Room Search ranks labels with `embedder`, or `HashEmbedder` when it is None.
+    serves every trial. An unknown or repeated method is an error before any
+    scoring. Room Search ranks labels with `embedder`, or `HashEmbedder` when
+    it is None.
     """
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in METHODS:
             raise ValueError(f"unrecognized method {method!r}; expected one of {METHODS}")
+        if method in methods[:i]:
+            raise ValueError(f"method {method!r} is listed more than once")
     env = cfg.env
     planners: dict[str, Planner] = {}
     if AFFINITY_METHODS.intersection(methods):
@@ -267,6 +270,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scorer", choices=("llm", "table"), default=None,
                    help="override the scenario's scorer kind")
     p.add_argument("--cache", default=None, help="response cache file for the llm scorer")
+
+
+def _add_planner(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="score_weight", type=float,
                    default=PlannerConfig.score_weight,
                    help="score weight in the plan cost (default %(default)s)")
@@ -289,12 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="print the planned search path for a target")
     _add_common(p)
+    _add_planner(p)
     p.add_argument("--start", default=None,
                    help="start waypoint (default: first waypoint in the scenario)")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("run", help="run seeded episodes of one method and write CSVs")
     _add_common(p)
+    _add_planner(p)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--trials", type=_positive_int, default=15)
     p.add_argument("--seed", type=int, default=None, help="default: scenario seed")
@@ -303,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compare methods over one paired trial sequence")
     _add_common(p)
+    _add_planner(p)
     p.add_argument("--methods", nargs="*", default=None,
                    help=f"methods to compare (default: all of {', '.join(METHODS)})")
     p.add_argument("--trials", type=_positive_int, default=15)

@@ -260,7 +260,20 @@ _TOP_LEVEL_KEYS = {
 }
 
 
-def _require_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _as_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"{where} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _as_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioParseError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _require_keys(section, allowed: set[str], required: set[str], where: str) -> None:
+    _as_object(section, where)
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ScenarioParseError(f"unknown key {unknown[0]!r} in {where}")
@@ -281,12 +294,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioParseError("scenario top level must be a JSON object")
     _require_keys(doc, _TOP_LEVEL_KEYS, {"waypoints", "objects", "ground_truth"}, "scenario")
 
     waypoints = []
-    for item in doc.get("waypoints", []):
+    for item in _as_list(doc.get("waypoints", []), "waypoints"):
         _require_keys(item, {"id", "x", "y"}, {"id", "x", "y"}, "waypoints entry")
         waypoints.append(Waypoint(str(item["id"]),
                                   _as_number(item["x"], "waypoint x"),
@@ -294,7 +305,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     positions = {wp.id: (wp.x, wp.y) for wp in waypoints}
 
     edges = []
-    for item in doc.get("edges", []):
+    for item in _as_list(doc.get("edges", []), "edges"):
         _require_keys(item, {"a", "b", "length"}, {"a", "b"}, "edges entry")
         a, b = str(item["a"]), str(item["b"])
         if "length" in item:
@@ -308,15 +319,16 @@ def parse_scenario(text: str) -> ScenarioConfig:
         edges.append(Edge(a, b, length))
 
     objects = []
-    for item in doc.get("objects", []):
+    for item in _as_list(doc.get("objects", []), "objects"):
         _require_keys(item, {"instance_id", "label", "waypoint"},
                       {"instance_id", "label", "waypoint"}, "objects entry")
         objects.append(SeenObject(str(item["instance_id"]), str(item["label"]), str(item["waypoint"])))
 
     rooms = []
-    for item in doc.get("rooms", []):
+    for item in _as_list(doc.get("rooms", []), "rooms"):
         _require_keys(item, {"name", "waypoints"}, {"name", "waypoints"}, "rooms entry")
-        rooms.append(Room(str(item["name"]), tuple(str(w) for w in item["waypoints"])))
+        members = _as_list(item["waypoints"], f"rooms entry {item['name']!r} waypoints")
+        rooms.append(Room(str(item["name"]), tuple(str(w) for w in members)))
 
     env = Environment(waypoints, edges, objects, rooms)
 
@@ -355,13 +367,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if kind not in ("llm", "table"):
             raise ScenarioValidationError(f"scorer kind must be 'llm' or 'table', got {kind!r}")
         table = s.get("table")
+        if table is not None:
+            _as_object(table, "scorer table")
         if kind == "table" and not table:
             raise ScenarioValidationError("scorer kind 'table' requires a 'table' section")
         scorer = ScorerSpec(kind=kind, table=dict(table) if table else None)
 
     room_scores = None
     if "room_scores" in doc:
-        room_scores = dict(doc["room_scores"])
+        room_scores = dict(_as_object(doc["room_scores"], "room_scores"))
         for key, value in room_scores.items():
             if key != "default" and "|" not in key:
                 raise ScenarioParseError(f"room_scores key {key!r} is not 'room|target'")
@@ -370,8 +384,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     embeddings = None
     if "embeddings" in doc:
         embeddings = {}
-        for label, vector in doc["embeddings"].items():
-            values = tuple(_as_number(v, f"embeddings[{label!r}]") for v in vector)
+        for label, vector in _as_object(doc["embeddings"], "embeddings").items():
+            where = f"embeddings[{label!r}]"
+            values = tuple(_as_number(v, where) for v in _as_list(vector, where))
             if not values or all(v == 0.0 for v in values):
                 raise ScenarioValidationError(f"embedding vector for {label!r} is empty or all zero")
             embeddings[normalize_label(label)] = values

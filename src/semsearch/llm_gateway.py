@@ -26,6 +26,10 @@ except ImportError:  # non-POSIX; appends are then best-effort
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 DEFAULT_MODEL = "gpt-4o-mini"
+# Scoring reads log-probabilities of the greedy answer, so every request samples
+# at temperature 0; the value is part of each body and cache key.
+TEMPERATURE = 0.0
+BACKOFF_CAP_S = 30.0
 
 ENV_API_KEY = ("SEMSEARCH_API_KEY", "OPENAI_API_KEY")
 ENV_BASE_URL = ("SEMSEARCH_BASE_URL", "OPENAI_BASE_URL")
@@ -75,12 +79,9 @@ class CompletionRequest:
     system_text: str
     user_text: str
     model: str = DEFAULT_MODEL
-    temperature: float = 0.0
     max_tokens: int = 64
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
 
@@ -158,22 +159,13 @@ class ResponseCache:
                 except (json.JSONDecodeError, KeyError, TypeError):
                     continue  # torn or foreign line; ignore
 
-    @property
-    def path(self) -> Path | None:
-        return self._path
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def lookup(self, key: str) -> dict | None:
         with self._lock:
             return self._entries.get(key)
 
-    def store(self, key: str, value: dict, created_at: float | None = None) -> None:
-        line = json.dumps(
-            {"key": key, "created_at": created_at if created_at is not None else time.time(), "value": value},
-            separators=(",", ":"),
-        )
+    def store(self, key: str, value: dict) -> None:
+        line = json.dumps({"key": key, "created_at": time.time(), "value": value},
+                          separators=(",", ":"))
         with self._lock:
             self._entries[key] = value
             if self._path is None:
@@ -224,7 +216,6 @@ class GatewayConfig:
     timeout_s: float = 30.0
     max_attempts: int = 5
     backoff_base_s: float = 0.5
-    backoff_cap_s: float = 30.0
     max_in_flight: int = 4
     requests_per_second: float = 4.0
     burst: int = 4
@@ -245,12 +236,6 @@ class GatewayConfig:
         )
 
 
-def _backoff_delays(config: GatewayConfig):
-    # 0.5, 1, 2, 4 ... seconds by default, capped; nondecreasing by construction.
-    for attempt in range(config.max_attempts - 1):
-        yield min(config.backoff_cap_s, config.backoff_base_s * (2 ** attempt))
-
-
 class LLMGateway:
     """Thread-safe client: cache lookup first, then rate-limited POST with retries."""
 
@@ -266,7 +251,7 @@ class LLMGateway:
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         started = time.monotonic()
-        key = request_digest(request.model, request.temperature, request.system_text, request.user_text)
+        key = request_digest(request.model, TEMPERATURE, request.system_text, request.user_text)
         if self.cache is not None:
             hit = self.cache.lookup(key)
             if hit is not None:
@@ -278,7 +263,7 @@ class LLMGateway:
             )
         body = {
             "model": request.model,
-            "temperature": request.temperature,
+            "temperature": TEMPERATURE,
             "max_tokens": request.max_tokens,
             "logprobs": True,
             "messages": [
@@ -320,7 +305,6 @@ class LLMGateway:
 
     def _post_with_retries(self, body: dict) -> tuple[dict, float]:
         headers = {"Authorization": f"Bearer {self.config.api_key}", "Content-Type": "application/json"}
-        delays = list(_backoff_delays(self.config))
         last_failure = "no attempt made"
         for attempt in range(self.config.max_attempts):
             self._bucket.acquire()
@@ -345,8 +329,9 @@ class LLMGateway:
                     raise MissingCredentialError(f"endpoint rejected credential (HTTP {response.status_code})")
                 else:
                     raise GatewayError(f"HTTP {response.status_code}: {response.text[:300]}")
-            if attempt < len(delays):
-                time.sleep(delays[attempt])
+            if attempt < self.config.max_attempts - 1:
+                # 0.5, 1, 2, 4 ... seconds by default, capped; nondecreasing.
+                time.sleep(min(BACKOFF_CAP_S, self.config.backoff_base_s * 2 ** attempt))
         raise RetryExhaustedError(
             f"gave up after {self.config.max_attempts} attempts; last failure: {last_failure}"
         )

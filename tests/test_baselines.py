@@ -150,6 +150,13 @@ def two_room_env():
     )
 
 
+def overlap_ranking(env):
+    # "drill bit" ranks above "hose" above "rake" for the target "drill"
+    vectors = {"drill": (1.0, 0.0), "drill bit": (1.0, 0.1), "hose": (0.5, 1.0),
+               "rake": (0.0, 1.0)}
+    return similarity_rank(TableEmbedder(vectors), env.labels(), "drill")
+
+
 class TestPlanRoomSearch:
     def test_single_room_single_object_waypoint(self):
         env = make_env(
@@ -205,6 +212,37 @@ class TestPlanRoomSearch:
         plan = plan_room_search(env, RoomDistribution({"A": 1.0}), "s", RAW_CFG, ranking)
         # the more similar object's waypoint comes first even though it is farther
         assert plan.sequence == ("a2", "a1")
+
+    @pytest.mark.parametrize("score_weight", [1.0, 10.0])
+    def test_covered_room_mass_goes_to_its_last_visited_sweep_waypoint(self, score_weight):
+        # B = {w2} is covered by A's sweep (w2, then w1); B's mass belongs to
+        # w2, not to whichever step happens to be last when B is taken up.
+        env = make_env(
+            [("s", 0, 0), ("w1", 1, 0), ("w2", 2, 0), ("w3", 3, 0)],
+            [("s", "w1", 1.0), ("w1", "w2", 1.0), ("w2", "w3", 1.0)],
+            [("o1", "hose", "w1"), ("o2", "drill bit", "w2"), ("o3", "rake", "w3")],
+            [("A", ["w1", "w2"]), ("B", ["w2"]), ("C", ["w3"])],
+        )
+        plan = plan_room_search(env, RoomDistribution({"A": 0.9, "B": 0.01, "C": 0.09}), "s",
+                                PlannerConfig(score_weight=score_weight, distance_normalizer="none"),
+                                overlap_ranking(env))
+        assert plan.sequence == ("w2", "w1", "w3")
+        assert [step.score for step in plan.per_step] == pytest.approx([0.46, 0.45, 0.09])
+
+    def test_covered_room_takes_no_detour_to_an_empty_representative(self):
+        # B's representative w5 hosts no object; B's only object-bearing
+        # waypoint w2 was swept for A, so B adds no step.
+        env = make_env(
+            [("s", 0, 0), ("w1", 1, 0), ("w2", 2, 0), ("w5", 2, 1), ("w6", 2, 2)],
+            [("s", "w1", 1.0), ("w1", "w2", 1.0), ("w2", "w5", 1.0), ("w5", "w6", 1.0)],
+            [("o1", "hose", "w1"), ("o2", "drill bit", "w2")],
+            [("A", ["w1", "w2"]), ("B", ["w2", "w5", "w6"])],
+        )
+        plan = plan_room_search(env, RoomDistribution({"A": 0.9, "B": 0.1}), "s", RAW_CFG,
+                                overlap_ranking(env))
+        assert plan.sequence == ("w2", "w1")
+        assert [step.score for step in plan.per_step] == pytest.approx([0.55, 0.45])
+        assert plan.per_step[-1].cumulative == pytest.approx(1.0)
 
     def test_unknown_room_rejected(self):
         env = two_room_env()

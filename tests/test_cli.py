@@ -55,6 +55,13 @@ class TestScore:
         out = capsys.readouterr().out
         assert "target: screwdriver" in out
 
+    @pytest.mark.parametrize("flag, value", [("--lambda", "-5"), ("--normalizer", "none")])
+    def test_planner_flags_are_not_score_options(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("score", "--scenario", str(FARM_SCENARIO), flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_llm_scorer_against_stub_endpoint(self, monkeypatch, capsys):
         from stub_server import StubServer
 
@@ -242,6 +249,13 @@ class TestBench:
         assert run_cli("bench", "--scenario", str(FARM_SCENARIO),
                        "--methods", "losae", "teleport", "--out", str(out_dir)) == 2
         assert "teleport" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_repeated_method_rejected(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert run_cli("bench", "--scenario", str(FARM_SCENARIO), "--methods", "losae",
+                       "room_search", "losae", "--out", str(out_dir)) == 2
+        assert "method 'losae' is listed more than once" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("method", METHODS)

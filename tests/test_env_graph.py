@@ -113,6 +113,22 @@ class TestLoadScenario:
         env = parse_scenario(json.dumps(doc)).env
         assert env.distance("w1", "w2") == 7.5
 
+    @pytest.mark.parametrize("overrides, section", [
+        pytest.param({"waypoints": [1]}, "waypoints entry", id="waypoints"),
+        pytest.param({"edges": 5}, "edges", id="edges"),
+        pytest.param({"objects": None}, "objects", id="objects"),
+        pytest.param({"rooms": [{"name": "shed", "waypoints": "w1"}]}, "'shed' waypoints",
+                     id="room-waypoints"),
+        pytest.param({"scorer": {"kind": "table", "table": [["hammer|drill", 0.5]]}},
+                     "scorer table", id="scorer-table"),
+        pytest.param({"room_scores": [1, 2]}, "room_scores", id="room_scores"),
+        pytest.param({"embeddings": {"a": 5}}, r"embeddings\['a'\]", id="embedding-vector"),
+        pytest.param({"embeddings": [1]}, "embeddings", id="embeddings"),
+    ])
+    def test_section_of_wrong_shape_names_it(self, overrides, section):
+        with pytest.raises(ScenarioParseError, match=section):
+            parse_scenario(json.dumps(minimal_doc(**overrides)))
+
     def test_bad_seed_rejected(self):
         with pytest.raises(ScenarioParseError, match="seed"):
             parse_scenario(json.dumps(minimal_doc(seed=-3)))

@@ -99,6 +99,27 @@ class TestComplete:
             with pytest.raises(MalformedResponseError):
                 gateway.complete(req())
 
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_rejected_credential_is_not_retried(self, no_sleep, status):
+        with StubServer([("status", status)]) as server:
+            gateway = LLMGateway(make_config(server.base_url))
+            with pytest.raises(MissingCredentialError, match=f"HTTP {status}"):
+                gateway.complete(req())
+            assert len(server.requests) == 1
+        assert no_sleep == []
+
+    def test_refused_connection_retried_with_backoff_then_gives_up(self, no_sleep):
+        gateway = LLMGateway(make_config("http://127.0.0.1:1", max_attempts=4))
+        with pytest.raises(RetryExhaustedError, match="after 4 attempts; last failure: transport error"):
+            gateway.complete(req())
+        assert no_sleep == [0.01, 0.02, 0.04]
+
+    def test_body_without_choices_is_malformed(self):
+        with StubServer([("json", {"model": "stub-model"})]) as server:
+            gateway = LLMGateway(make_config(server.base_url))
+            with pytest.raises(MalformedResponseError, match="choices"):
+                gateway.complete(req())
+
     def test_non_transient_status_fails_fast(self, no_sleep):
         with StubServer([("status", 404)]) as server:
             gateway = LLMGateway(make_config(server.base_url))
@@ -130,7 +151,7 @@ class TestCache:
     def test_hit_reports_its_own_latency(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         request = req()
-        key = request_digest(request.model, request.temperature, request.system_text, request.user_text)
+        key = request_digest(request.model, 0.0, request.system_text, request.user_text)
         ResponseCache(path).store(key, {"answer_text": "tool shed", "tokens": [["tool", -0.5]],
                                         "model_echo": "m", "latency_ms": 1e6})
         gateway = LLMGateway(make_config("http://127.0.0.1:1", api_key=None),
@@ -161,6 +182,26 @@ class TestCache:
         cache = ResponseCache(path)
         assert cache.lookup("k1") == {"v": 1}
         assert cache.lookup("k2") is None
+
+    def test_torn_trailing_line_keeps_earlier_entries_hitting(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with StubServer() as server:
+            original = LLMGateway(make_config(server.base_url),
+                                  cache=ResponseCache(path)).complete(req())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"key": "torn", "created_at": 1.0, "val')  # crashed writer
+        cold = LLMGateway(make_config("http://127.0.0.1:1", api_key=None),
+                          cache=ResponseCache(path))
+        assert cold.complete(req()) == original
+
+    def test_failed_append_warns_and_keeps_entry_in_memory(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        path.unlink()
+        path.mkdir()  # appends to the cache file now fail
+        with pytest.warns(UserWarning, match="append failed"):
+            cache.store("k1", {"v": 1})
+        assert cache.lookup("k1") == {"v": 1}
 
     def test_unwritable_path_degrades_to_memory(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -243,10 +284,6 @@ class TestDigest:
 
 
 class TestRequestTypes:
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(system_text="s", user_text="u", temperature=-0.1)
-
     def test_token_logprob_validation(self):
         with pytest.raises(ValueError):
             TokenLogprobs((("a", 0.5),))
