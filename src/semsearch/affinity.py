@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 from .llm_gateway import CompletionRequest, LLMGateway, TokenLogprobs
@@ -118,35 +118,42 @@ class AffinityScorer(Protocol):
 
 
 class TableScorer:
-    """Raw affinities from a declared table keyed 'seen_label|target_label'.
+    """Raw scores from a declared table keyed 'name|target', plus an optional
+    'default' for absent pairs.
 
-    Tables come from a scenario document's scorer section.
+    Tables come from a scenario document. Lookups ignore case and surrounding
+    whitespace. Subclasses set the key name, the value cap and the error a
+    missing pair raises.
     """
+
+    KEY = "seen|target"
+    CAP = 1.0
+    MISSING = MissingAffinityError
 
     def __init__(self, table: dict):
         self.default: float | None = None
         self._table: dict[tuple[str, str], float] = {}
         for key, value in table.items():
+            value = float(value)
+            if value < 0:
+                raise ValueError(f"table value for {key!r} is negative: {value}")
+            if value > self.CAP:
+                raise ValueError(f"table value for {key!r} is above {self.CAP}: {value}")
             if key == "default":
-                self.default = float(value)
+                self.default = value
                 continue
             if "|" not in key:
-                raise ValueError(f"affinity table key {key!r} is not 'seen|target'")
-            seen, target = key.split("|", 1)
-            value = float(value)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"affinity table value for {key!r} out of [0, 1]: {value}")
-            self._table[(normalize_label(seen), normalize_label(target))] = value
-        if self.default is not None and not 0.0 <= self.default <= 1.0:
-            raise ValueError(f"affinity table default out of [0, 1]: {self.default}")
+                raise ValueError(f"table key {key!r} is not {self.KEY!r}")
+            name, target = key.split("|", 1)
+            self._table[(normalize_label(name), normalize_label(target))] = value
 
-    def score(self, seen_label: str, target_label: str) -> float:
-        pair = (normalize_label(seen_label), normalize_label(target_label))
+    def score(self, name: str, target_label: str) -> float:
+        pair = (normalize_label(name), normalize_label(target_label))
         if pair in self._table:
             return self._table[pair]
         if self.default is not None:
             return self.default
-        raise MissingAffinityError(f"no affinity for pair {pair[0]!r}|{pair[1]!r} and no default")
+        raise self.MISSING(f"no table score for pair {pair[0]!r}|{pair[1]!r} and no default")
 
 
 class LLMScorer:
@@ -190,8 +197,7 @@ def score_distribution(scorer: AffinityScorer, seen_labels: list[str], target_la
     """Query the scorer once per seen label and normalize the raw values.
 
     Queries are independent by construction so they may run concurrently;
-    results are keyed by label, never by completion order. If every raw value
-    is below ZERO_SCORE_FLOOR the distribution falls back to uniform.
+    results are keyed by label, never by completion order.
     """
     if not seen_labels:
         raise ValueError("seen_labels is empty")
@@ -210,14 +216,23 @@ def score_distribution(scorer: AffinityScorer, seen_labels: list[str], target_la
     else:
         raw = {key: _raw_score(scorer, label, target) for key, label in zip(keys, cleaned)}
 
+    return normalized_distribution(raw, target)
+
+
+def normalized_distribution(raw: dict[str, float], target_label: str) -> AffinityDistribution:
+    """Divide each raw score by their sum, keeping `raw`'s order.
+
+    If the sum is below ZERO_SCORE_FLOOR the distribution falls back to
+    uniform with a RuntimeWarning.
+    """
     total = math.fsum(raw.values())
     if total < ZERO_SCORE_FLOOR:
         warnings.warn(
-            f"all raw affinity scores for target {target!r} are below {ZERO_SCORE_FLOOR}; "
+            f"all raw scores for target {target_label!r} sum below {ZERO_SCORE_FLOOR}; "
             "falling back to a uniform distribution",
             RuntimeWarning,
         )
-        entries = {key: 1.0 / len(keys) for key in keys}
+        entries = {key: 1.0 / len(raw) for key in raw}
     else:
-        entries = {key: raw[key] / total for key in keys}
-    return AffinityDistribution(target_label=normalize_label(target), entries=entries, raw=raw)
+        entries = {key: value / total for key, value in raw.items()}
+    return AffinityDistribution(normalize_label(target_label), entries, raw)

@@ -15,11 +15,11 @@ import hashlib
 import math
 import random
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Protocol
 
-from .affinity import AffinityDistribution, normalize_label, split_across_instances
+from .affinity import (AffinityDistribution, TableScorer, normalize_label,
+                       normalized_distribution, split_across_instances)
 from .llm_gateway import CompletionRequest, LLMGateway
 from .planner import PlannerConfig, SearchPlan, WaypointScores, make_plan, plan_optimal
 
@@ -42,52 +42,19 @@ class EmbeddingError(BaselineError):
 
 # -- room scoring ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RoomDistribution:
-    entries: dict[str, float]
-
-    def __post_init__(self):
-        total = math.fsum(self.entries.values())
-        if self.entries and abs(total - 1.0) > 1e-9:
-            raise ValueError(f"room distribution sums to {total}, not 1")
-        for room, p in self.entries.items():
-            if p < 0:
-                raise ValueError(f"negative room probability {p} for {room!r}")
-
-
 class RoomScorer(Protocol):
     def score_rooms(self, rooms: list[str], target_label: str) -> dict[str, float]: ...
 
 
-class TableRoomScorer:
-    """Room scores from a declared table keyed 'room|target'."""
+class TableRoomScorer(TableScorer):
+    """Room scores from a declared table keyed 'room|target', with no upper cap."""
 
-    def __init__(self, table: dict):
-        self.default: float | None = None
-        self._table: dict[tuple[str, str], float] = {}
-        for key, value in table.items():
-            value = float(value)
-            if value < 0:
-                raise ValueError(f"room score for {key!r} is negative: {value}")
-            if key == "default":
-                self.default = value
-                continue
-            if "|" not in key:
-                raise ValueError(f"room table key {key!r} is not 'room|target'")
-            room, target = key.split("|", 1)
-            self._table[(normalize_label(room), normalize_label(target))] = value
+    KEY = "room|target"
+    CAP = math.inf
+    MISSING = MissingRoomScoreError
 
     def score_rooms(self, rooms: list[str], target_label: str) -> dict[str, float]:
-        out = {}
-        for room in rooms:
-            pair = (normalize_label(room), normalize_label(target_label))
-            if pair in self._table:
-                out[room] = self._table[pair]
-            elif self.default is not None:
-                out[room] = self.default
-            else:
-                raise MissingRoomScoreError(f"no room score for {pair[0]!r}|{pair[1]!r} and no default")
-        return out
+        return {room: self.score(room, target_label) for room in rooms}
 
 
 ROOM_SYSTEM_PROMPT = (
@@ -146,19 +113,12 @@ class LLMRoomScorer:
         return parsed
 
 
-def room_scores(scorer: RoomScorer, rooms: list[str], target_label: str) -> RoomDistribution:
-    """Normalized probability per room that the target is inside it."""
+def room_scores(scorer: RoomScorer, rooms: list[str], target_label: str) -> AffinityDistribution:
+    """Normalized probability per room that the target is inside it, in `rooms` order."""
     if not rooms:
         raise ValueError("rooms is empty")
     raw = scorer.score_rooms(list(rooms), target_label)
-    total = math.fsum(raw.values())
-    if total <= 0:
-        warnings.warn(
-            f"all room scores for target {target_label!r} are zero; using a uniform distribution",
-            RuntimeWarning,
-        )
-        return RoomDistribution({room: 1.0 / len(rooms) for room in rooms})
-    return RoomDistribution({room: raw[room] / total for room in rooms})
+    return normalized_distribution({room: raw[room] for room in rooms}, target_label)
 
 
 # -- embedding similarity ---------------------------------------------------------
@@ -258,7 +218,7 @@ def _room_visit_order(env, room, ranking: SimilarityRanking) -> list[str]:
     return [wid for _, wid in sorted(candidates)]
 
 
-def plan_room_search(env, room_dist: RoomDistribution, start: str,
+def plan_room_search(env, room_dist: AffinityDistribution, start: str,
                      config: PlannerConfig | None = None,
                      ranking: SimilarityRanking | None = None) -> SearchPlan:
     """Visit rooms in cost order, sweeping each room by similarity.

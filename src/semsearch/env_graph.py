@@ -272,6 +272,12 @@ def _as_object(value, where: str) -> dict:
     return value
 
 
+def _as_str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioParseError(f"{where} must be a JSON string, got {value!r}")
+    return value
+
+
 def _require_keys(section, allowed: set[str], required: set[str], where: str) -> None:
     _as_object(section, where)
     unknown = sorted(set(section) - allowed)
@@ -299,7 +305,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     waypoints = []
     for item in _as_list(doc.get("waypoints", []), "waypoints"):
         _require_keys(item, {"id", "x", "y"}, {"id", "x", "y"}, "waypoints entry")
-        waypoints.append(Waypoint(str(item["id"]),
+        waypoints.append(Waypoint(_as_str(item["id"], "waypoint id"),
                                   _as_number(item["x"], "waypoint x"),
                                   _as_number(item["y"], "waypoint y")))
     positions = {wp.id: (wp.x, wp.y) for wp in waypoints}
@@ -307,7 +313,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     edges = []
     for item in _as_list(doc.get("edges", []), "edges"):
         _require_keys(item, {"a", "b", "length"}, {"a", "b"}, "edges entry")
-        a, b = str(item["a"]), str(item["b"])
+        a, b = (_as_str(item[end], f"edge endpoint {end!r}") for end in ("a", "b"))
         if "length" in item:
             length = _as_number(item["length"], "edge length")
         else:
@@ -322,19 +328,23 @@ def parse_scenario(text: str) -> ScenarioConfig:
     for item in _as_list(doc.get("objects", []), "objects"):
         _require_keys(item, {"instance_id", "label", "waypoint"},
                       {"instance_id", "label", "waypoint"}, "objects entry")
-        objects.append(SeenObject(str(item["instance_id"]), str(item["label"]), str(item["waypoint"])))
+        objects.append(SeenObject(*(_as_str(item[key], f"objects entry {key}")
+                                    for key in ("instance_id", "label", "waypoint"))))
 
     rooms = []
     for item in _as_list(doc.get("rooms", []), "rooms"):
         _require_keys(item, {"name", "waypoints"}, {"name", "waypoints"}, "rooms entry")
-        members = _as_list(item["waypoints"], f"rooms entry {item['name']!r} waypoints")
-        rooms.append(Room(str(item["name"]), tuple(str(w) for w in members)))
+        name = _as_str(item["name"], "rooms entry name")
+        members = _as_list(item["waypoints"], f"rooms entry {name!r} waypoints")
+        rooms.append(Room(name, tuple(_as_str(w, f"rooms entry {name!r} waypoint")
+                                      for w in members)))
 
     env = Environment(waypoints, edges, objects, rooms)
 
     gt = doc["ground_truth"]
     _require_keys(gt, {"target_label", "host_object"}, {"target_label", "host_object"}, "ground_truth")
-    truth = GroundTruth(str(gt["target_label"]), str(gt["host_object"]))
+    truth = GroundTruth(*(_as_str(gt[key], f"ground_truth {key}")
+                          for key in ("target_label", "host_object")))
     if not truth.target_label.strip():
         raise ScenarioValidationError("ground_truth target_label is empty")
     if truth.host_object not in env.objects:
@@ -376,10 +386,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
     room_scores = None
     if "room_scores" in doc:
         room_scores = dict(_as_object(doc["room_scores"], "room_scores"))
-        for key, value in room_scores.items():
+    for section, table in (("scorer table", scorer and scorer.table), ("room_scores", room_scores)):
+        for key, value in (table or {}).items():
             if key != "default" and "|" not in key:
-                raise ScenarioParseError(f"room_scores key {key!r} is not 'room|target'")
-            _as_number(value, f"room_scores[{key!r}]")
+                raise ScenarioParseError(f"{section} key {key!r} is not 'name|target'")
+            _as_number(value, f"{section}[{key!r}]")
 
     embeddings = None
     if "embeddings" in doc:
@@ -389,6 +400,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
             values = tuple(_as_number(v, where) for v in _as_list(vector, where))
             if not values or all(v == 0.0 for v in values):
                 raise ScenarioValidationError(f"embedding vector for {label!r} is empty or all zero")
+            first = next(iter(embeddings), None)
+            if first is not None and len(values) != len(embeddings[first]):
+                raise ScenarioValidationError(
+                    f"embedding vector for {label!r} has length {len(values)}, "
+                    f"but the one for {first!r} has length {len(embeddings[first])}")
             embeddings[normalize_label(label)] = values
 
     return ScenarioConfig(env=env, truth=truth, params=params, scorer=scorer,

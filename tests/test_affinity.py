@@ -15,6 +15,7 @@ from semsearch.affinity import (
     score_distribution,
     split_across_instances,
 )
+from semsearch.baselines import MissingRoomScoreError, TableRoomScorer
 from semsearch.env_graph import SeenObject
 from semsearch.llm_gateway import TokenLogprobs
 
@@ -106,8 +107,26 @@ class TestTableScorer:
         assert scorer.score("  water tap ", "DRILL") == 0.4
 
     def test_value_range_validated(self):
-        with pytest.raises(ValueError):
-            TableScorer({"a|b": 1.5})
+        for table in ({"a|b": 1.5}, {"a|b": 0.5, "default": 1.5}):
+            with pytest.raises(ValueError, match="above 1.0"):
+                TableScorer(table)
+        # room scores have no upper cap
+        assert TableRoomScorer({"a|b": 80, "default": 150}).score("a", "b") == 80
+
+    @pytest.mark.parametrize("cls, missing", [
+        pytest.param(TableScorer, MissingAffinityError, id="affinity"),
+        pytest.param(TableRoomScorer, MissingRoomScoreError, id="room"),
+    ])
+    def test_rules_shared_with_room_table(self, cls, missing):
+        with pytest.raises(ValueError, match="'barn' is not"):
+            cls({"barn": 0.5})
+        for table in ({"barn|drill": -0.1}, {"barn|drill": 0.5, "default": -1}):
+            with pytest.raises(ValueError, match="negative"):
+                cls(table)
+        scorer = cls({"Water Tap|Drill": 0.4})
+        assert scorer.score("  water tap ", "DRILL") == 0.4
+        with pytest.raises(missing, match=r"'rake'\|'drill'"):
+            scorer.score("rake", "drill")
 
 
 class TestScoreDistribution:

@@ -8,7 +8,6 @@ from semsearch.baselines import (
     HashEmbedder,
     LLMRoomScorer,
     MissingRoomScoreError,
-    RoomDistribution,
     RoomScoreParseError,
     TableEmbedder,
     TableRoomScorer,
@@ -26,6 +25,10 @@ from conftest import make_env
 from oracles import eq3_cost
 
 RAW_CFG = PlannerConfig(distance_normalizer="none")
+
+
+def room_dist(entries):
+    return AffinityDistribution("drill", entries, dict(entries))
 
 
 class FakeGateway:
@@ -75,6 +78,17 @@ class TestRoomScores:
             dist = room_scores(TableRoomScorer({"default": 0}), ["a", "b"], "drill")
         assert dist.entries == {"a": 0.5, "b": 0.5}
 
+    def test_sum_below_score_floor_uniform_fallback(self):
+        with pytest.warns(RuntimeWarning, match="uniform"):
+            dist = room_scores(TableRoomScorer({"a|drill": 1e-13, "default": 0}),
+                               ["a", "b"], "drill")
+        assert dist.entries == {"a": 0.5, "b": 0.5}
+
+    def test_entries_follow_room_order_not_reply_order(self):
+        dist = room_scores(LLMRoomScorer(FakeGateway(["b: 40\na: 60"])), ["a", "b"], "drill")
+        assert list(dist.entries) == ["a", "b"]
+        assert dist.entries == {"a": 0.6, "b": 0.4}
+
     def test_llm_path_parses_line_format(self):
         gateway = FakeGateway(["tool storage: 80\nwash area: 10\nharvest station: 5"])
         scorer = LLMRoomScorer(gateway)
@@ -95,9 +109,9 @@ class TestRoomScores:
 
     def test_distribution_invariants(self):
         with pytest.raises(ValueError):
-            RoomDistribution({"a": 0.9, "b": 0.3})
+            room_dist({"a": 0.9, "b": 0.3})
         with pytest.raises(ValueError):
-            RoomDistribution({"a": 1.5, "b": -0.5})
+            room_dist({"a": 1.5, "b": -0.5})
         with pytest.raises(ValueError, match="'barn' is not 'room"):
             TableRoomScorer({"barn": 1})
         with pytest.raises(ValueError, match="'default' is negative"):
@@ -165,13 +179,13 @@ class TestPlanRoomSearch:
             [("obj-a", "rake", "a1")],
             [("A", ["a1"])],
         )
-        plan = plan_room_search(env, RoomDistribution({"A": 1.0}), "s", RAW_CFG)
+        plan = plan_room_search(env, room_dist({"A": 1.0}), "s", RAW_CFG)
         assert plan.sequence == ("a1",)
         assert plan.total_mass == pytest.approx(1.0)
 
     def test_higher_probability_room_first_at_equal_distance(self):
         env = two_room_env()
-        dist = RoomDistribution({"A": 0.9, "B": 0.1})
+        dist = room_dist({"A": 0.9, "B": 0.1})
         plan = plan_room_search(env, dist, "s", RAW_CFG)
         # hand evaluation of the two room orderings under the plan cost
         cost_ab = eq3_cost(env.distance, "s", ("a1", "b1"), {"a1": 0.9, "b1": 0.1}, 1.0, 1.0)
@@ -181,7 +195,7 @@ class TestPlanRoomSearch:
 
     def test_moves_to_next_room_after_exhausting_areas(self):
         env = two_room_env()
-        plan = plan_room_search(env, RoomDistribution({"A": 0.6, "B": 0.4}), "s", RAW_CFG)
+        plan = plan_room_search(env, room_dist({"A": 0.6, "B": 0.4}), "s", RAW_CFG)
         assert plan.sequence == ("a1", "b1")
         assert plan.per_step[0].score == pytest.approx(0.6)
         assert plan.per_step[1].score == pytest.approx(0.4)
@@ -209,7 +223,7 @@ class TestPlanRoomSearch:
         )
         vectors = {"drill": (1.0, 0.0), "drill bit": (1.0, 0.1), "hose": (0.0, 1.0)}
         ranking = similarity_rank(TableEmbedder(vectors), ["hose", "drill bit"], "drill")
-        plan = plan_room_search(env, RoomDistribution({"A": 1.0}), "s", RAW_CFG, ranking)
+        plan = plan_room_search(env, room_dist({"A": 1.0}), "s", RAW_CFG, ranking)
         # the more similar object's waypoint comes first even though it is farther
         assert plan.sequence == ("a2", "a1")
 
@@ -223,7 +237,7 @@ class TestPlanRoomSearch:
             [("o1", "hose", "w1"), ("o2", "drill bit", "w2"), ("o3", "rake", "w3")],
             [("A", ["w1", "w2"]), ("B", ["w2"]), ("C", ["w3"])],
         )
-        plan = plan_room_search(env, RoomDistribution({"A": 0.9, "B": 0.01, "C": 0.09}), "s",
+        plan = plan_room_search(env, room_dist({"A": 0.9, "B": 0.01, "C": 0.09}), "s",
                                 PlannerConfig(score_weight=score_weight, distance_normalizer="none"),
                                 overlap_ranking(env))
         assert plan.sequence == ("w2", "w1", "w3")
@@ -238,7 +252,7 @@ class TestPlanRoomSearch:
             [("o1", "hose", "w1"), ("o2", "drill bit", "w2")],
             [("A", ["w1", "w2"]), ("B", ["w2", "w5", "w6"])],
         )
-        plan = plan_room_search(env, RoomDistribution({"A": 0.9, "B": 0.1}), "s", RAW_CFG,
+        plan = plan_room_search(env, room_dist({"A": 0.9, "B": 0.1}), "s", RAW_CFG,
                                 overlap_ranking(env))
         assert plan.sequence == ("w2", "w1")
         assert [step.score for step in plan.per_step] == pytest.approx([0.55, 0.45])
@@ -247,7 +261,7 @@ class TestPlanRoomSearch:
     def test_unknown_room_rejected(self):
         env = two_room_env()
         with pytest.raises(Exception, match="shed"):
-            plan_room_search(env, RoomDistribution({"shed": 1.0}), "s", RAW_CFG)
+            plan_room_search(env, room_dist({"shed": 1.0}), "s", RAW_CFG)
 
 
 class TestHottestObject:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import time
 
 import pytest
@@ -128,6 +129,46 @@ class TestLoadScenario:
     def test_section_of_wrong_shape_names_it(self, overrides, section):
         with pytest.raises(ScenarioParseError, match=section):
             parse_scenario(json.dumps(minimal_doc(**overrides)))
+
+    @pytest.mark.parametrize("path, value, error, field", [
+        pytest.param(("waypoints", 0, "id"), None, ScenarioParseError, "waypoint id",
+                     id="waypoint-id-null"),
+        pytest.param(("waypoints", 0, "id"), 5, ScenarioParseError, "waypoint id",
+                     id="waypoint-id-number"),
+        pytest.param(("edges", 0, "b"), 2, ScenarioParseError, "edge endpoint 'b'",
+                     id="edge-endpoint"),
+        pytest.param(("objects", 0, "instance_id"), ["obj-1"], ScenarioParseError,
+                     "objects entry instance_id", id="instance-id"),
+        pytest.param(("objects", 0, "label"), 7, ScenarioParseError, "objects entry label",
+                     id="label"),
+        pytest.param(("objects", 0, "waypoint"), 1, ScenarioParseError,
+                     "objects entry waypoint", id="object-waypoint"),
+        pytest.param(("rooms", 0, "name"), 3, ScenarioParseError, "rooms entry name",
+                     id="room-name"),
+        pytest.param(("rooms", 0, "waypoints", 0), 1, ScenarioParseError,
+                     "rooms entry 'shed' waypoint", id="room-member"),
+        pytest.param(("ground_truth", "target_label"), 7, ScenarioParseError,
+                     "ground_truth target_label", id="target-label"),
+        pytest.param(("ground_truth", "host_object"), None, ScenarioParseError,
+                     "ground_truth host_object", id="host-object"),
+        pytest.param(("scorer",), {"kind": "table", "table": {"hammer|drill": "x"}},
+                     ScenarioParseError, "scorer table['hammer|drill']", id="table-string"),
+        pytest.param(("scorer",), {"kind": "table", "table": {"hammer|drill": True}},
+                     ScenarioParseError, "scorer table['hammer|drill']", id="table-bool"),
+        pytest.param(("scorer",), {"kind": "table", "table": {"hammer": 0.5}},
+                     ScenarioParseError, "scorer table key 'hammer'", id="table-key"),
+        pytest.param(("embeddings",), {"hammer": [1.0, 0.0], "drill": [0.0, 1.0, 0.5]},
+                     ScenarioValidationError, "'drill' has length 3", id="embedding-length"),
+    ])
+    def test_field_of_wrong_type_names_it(self, path, value, error, field):
+        doc = minimal_doc(rooms=[{"name": "shed", "waypoints": ["w1"]}])
+        *parents, last = path
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[last] = value
+        with pytest.raises(error, match=re.escape(field)):
+            parse_scenario(json.dumps(doc))
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ScenarioParseError, match="seed"):
