@@ -119,6 +119,14 @@ class TestPlan:
                  if line.strip() and line.split()[0].isdigit()]
         assert order == [f"w{i:02d}" for i in range(1, n + 1)]
 
+    def test_farm_printout_from_every_start_is_pinned(self, capsys, farm_doc):
+        digest = hashlib.sha256()
+        for waypoint in farm_doc["waypoints"]:
+            assert run_cli("plan", "--scenario", str(FARM_SCENARIO),
+                           "--start", waypoint["id"]) == 0
+            digest.update(capsys.readouterr().out.encode("utf-8"))
+        assert digest.hexdigest() == PLAN_DIGEST
+
 
 class TestRun:
     def test_single_trial_row(self, tmp_path, capsys):
@@ -306,6 +314,10 @@ class TestBench:
         summary = read_csv(out_dir / "summary.csv")
         assert [r["method"] for r in summary] == ["losae"]
 
+
+# SHA-256 of `plan --start W` stdout for every farm waypoint in document order;
+# any change to a column, the leg(m) meters included, shows here.
+PLAN_DIGEST = "343ad92c029971d5faa27b5611f82c7faeafa0088e169798b58b0a44c9a5f0f5"
 
 # SHA-256 of each CSV from `bench --trials 200 --seed 5`; any change to a
 # sampled value, a float's formatting or a row's order shows here.
