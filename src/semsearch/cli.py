@@ -206,19 +206,15 @@ def cmd_score(args) -> int:
 
 def cmd_plan(args) -> int:
     cfg = load_scenario_path(args.scenario)
-    env = cfg.env
     target = args.target or cfg.truth.target_label
-    start = args.start or next(iter(env.waypoints))
+    start = args.start or next(iter(cfg.env.waypoints))
     scorer, _ = _make_scorers(cfg, args, ["losae"])
     config = _planner_config(args)
     plan = compute_artifacts(cfg, ["losae"], target, scorer)["losae"](start, config)
     print(f"start: {plan.start}  target: {normalize_label(target)}  mode: {plan.mode}")
     print(f"{'rank':>4} {'waypoint':<16} {'leg(norm)':>10} {'leg(m)':>10} {'score':>10} {'cum_prob':>10}")
-    position = plan.start
     for rank, step in enumerate(plan.per_step, 1):
-        leg_m = env.distance(position, step.waypoint)
-        position = step.waypoint
-        print(f"{rank:>4} {step.waypoint:<16} {step.leg:>10.6f} {leg_m:>10.6f} "
+        print(f"{rank:>4} {step.waypoint:<16} {step.leg:>10.6f} {step.leg_meters:>10.6f} "
               f"{step.score:>10.6f} {step.cumulative:>10.6f}")
     print(f"total cost: {plan.cost:.6f}")
     return 0

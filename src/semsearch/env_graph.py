@@ -219,34 +219,6 @@ class Environment:
     def labels(self) -> list[str]:
         return sorted({normalize_label(o.label) for o in self.objects.values()})
 
-    # -- serialization -------------------------------------------------------
-
-    def to_document(self) -> dict:
-        """Canonical JSON-ready form of the environment sections."""
-        return {
-            "waypoints": [
-                {"id": wp.id, "x": wp.x, "y": wp.y}
-                for wp in sorted(self.waypoints.values(), key=lambda w: w.id)
-            ],
-            "edges": [
-                {"a": e.a, "b": e.b, "length": e.length}
-                for e in sorted(self.edges, key=lambda e: (min(e.a, e.b), max(e.a, e.b)))
-            ],
-            "objects": [
-                {"instance_id": o.instance_id, "label": o.label, "waypoint": o.waypoint}
-                for o in sorted(self.objects.values(), key=lambda o: o.instance_id)
-            ],
-            "rooms": [
-                {"name": r.name, "waypoints": sorted(r.waypoints)}
-                for r in sorted(self.rooms.values(), key=lambda r: r.name)
-            ],
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Environment):
-            return NotImplemented
-        return self.to_document() == other.to_document()
-
     def __repr__(self) -> str:
         return (f"Environment(waypoints={len(self.waypoints)}, edges={len(self.edges)}, "
                 f"objects={len(self.objects)}, rooms={len(self.rooms)})")
@@ -387,15 +359,27 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if "room_scores" in doc:
         room_scores = dict(_as_object(doc["room_scores"], "room_scores"))
     for section, table in (("scorer table", scorer and scorer.table), ("room_scores", room_scores)):
+        pairs: dict[tuple[str, ...], str] = {}  # normalized key -> key as written
         for key, value in (table or {}).items():
             if key != "default" and "|" not in key:
                 raise ScenarioParseError(f"{section} key {key!r} is not 'name|target'")
             _as_number(value, f"{section}[{key!r}]")
+            pair = tuple(normalize_label(part) for part in key.split("|", 1))
+            if pair in pairs:
+                raise ScenarioValidationError(
+                    f"{section} keys {pairs[pair]!r} and {key!r} name the same pair")
+            pairs[pair] = key
 
     embeddings = None
     if "embeddings" in doc:
         embeddings = {}
+        labels: dict[str, str] = {}  # normalized label -> label as written
         for label, vector in _as_object(doc["embeddings"], "embeddings").items():
+            key = normalize_label(label)
+            if key in labels:
+                raise ScenarioValidationError(
+                    f"embeddings labels {labels[key]!r} and {label!r} name the same label")
+            labels[key] = label
             where = f"embeddings[{label!r}]"
             values = tuple(_as_number(v, where) for v in _as_list(vector, where))
             if not values or all(v == 0.0 for v in values):
@@ -405,7 +389,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 raise ScenarioValidationError(
                     f"embedding vector for {label!r} has length {len(values)}, "
                     f"but the one for {first!r} has length {len(embeddings[first])}")
-            embeddings[normalize_label(label)] = values
+            embeddings[key] = values
 
     return ScenarioConfig(env=env, truth=truth, params=params, scorer=scorer,
                           room_scores=room_scores, embeddings=embeddings)
@@ -414,27 +398,3 @@ def parse_scenario(text: str) -> ScenarioConfig:
 def load_scenario_path(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scenario(fh.read())
-
-
-def serialize_scenario(cfg: ScenarioConfig) -> str:
-    """Canonical document for the config; reloading yields an equal Environment."""
-    doc = cfg.env.to_document()
-    doc["ground_truth"] = {
-        "target_label": cfg.truth.target_label,
-        "host_object": cfg.truth.host_object,
-    }
-    doc["perception"] = {
-        "true_positive_rate": cfg.params.perception.true_positive_rate,
-        "false_positive_rate": cfg.params.perception.false_positive_rate,
-    }
-    if cfg.scorer is not None:
-        scorer: dict = {"kind": cfg.scorer.kind}
-        if cfg.scorer.table is not None:
-            scorer["table"] = cfg.scorer.table
-        doc["scorer"] = scorer
-    if cfg.room_scores is not None:
-        doc["room_scores"] = cfg.room_scores
-    if cfg.embeddings is not None:
-        doc["embeddings"] = {label: list(vec) for label, vec in sorted(cfg.embeddings.items())}
-    doc["seed"] = cfg.params.seed
-    return json.dumps(doc, indent=2)

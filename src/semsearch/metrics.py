@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .search_sim import EpisodeResult, Outcome
+from .search_sim import NO_DETECTION, DetectionOutcome, EpisodeResult, Outcome
 
 
 def success_rate(results: list[EpisodeResult]) -> float:
@@ -71,7 +71,8 @@ class EpisodeRow(NamedTuple):
     spl_term: float = 0.0
     pe: float | None = None  # None when excluded from PE aggregates
     error: str = ""
-    trace: tuple = ()        # the episode's StepRecords
+    trace: tuple = ()        # the walked prefix of the plan's PlanSteps
+    detection: DetectionOutcome = NO_DETECTION  # the last step's detection
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def episode_row(trial: int, start: str, host_object: str, target_label: str, see
     return EpisodeRow(trial, start, host_object, target_label, seed, result.outcome.value,
                       result.traversed_length, result.ideal_length, spl_term(result),
                       path_efficiency(result) if pe_defined(result) else None,
-                      trace=result.steps)
+                      trace=result.steps, detection=result.detection)
 
 
 def build_report(method: str, rows: list[EpisodeRow]) -> BatchReport:
@@ -143,7 +144,7 @@ def write_episode_csv(reports: list[BatchReport], path) -> None:
         (report.method, row.trial, row.start, row.host_object, row.target_label, row.seed,
          row.outcome, f"{row.traversed_m:.10g}", f"{row.ideal_m:.10g}",
          f"{row.spl_term:.10g}", "" if row.pe is None else f"{row.pe:.10g}",
-         int(row.pe is not None), f"{row.trace[-1].consumed:.10g}" if row.trace else "0",
+         int(row.pe is not None), f"{row.trace[-1].cumulative:.10g}" if row.trace else "0",
          len(row.trace), row.error)
         for report in reports for row in report.rows))
 
@@ -155,14 +156,22 @@ def write_summary_csv(reports: list[BatchReport], path) -> None:
         for r in reports))
 
 
+def _step_rows(reports: list[BatchReport]):
+    for report in reports:
+        method = report.method
+        for row in report.rows:
+            trial, last = row.trial, len(row.trace) - 1
+            for index, step in enumerate(row.trace):
+                # Only the last step can have triggered: a detection ends the episode.
+                detection = row.detection if index == last else NO_DETECTION
+                yield (method, trial, index, step.waypoint, f"{step.leg_meters:.10g}",
+                       f"{step.cumulative:.10g}", detection.kind, detection.instance_id or "")
+
+
 def write_steps_csv(reports: list[BatchReport], path) -> None:
     """Episode traces, one record per visited waypoint."""
     _write_csv(path, ["method", "trial", "step", "waypoint", "leg_m", "consumed",
-                      "detection", "instance_id"], (
-        (report.method, row.trial, index, step.waypoint, f"{step.leg_meters:.10g}",
-         f"{step.consumed:.10g}", step.detection.kind, step.detection.instance_id or "")
-        for report in reports for row in report.rows
-        for index, step in enumerate(row.trace)))
+                      "detection", "instance_id"], _step_rows(reports))
 
 
 def _long_rows(reports: list[BatchReport]):

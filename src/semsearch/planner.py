@@ -66,8 +66,10 @@ class WaypointScores:
 class PlanStep:
     waypoint: str
     leg: float         # normalized units (meters when normalizer is "none")
+    leg_meters: float  # shortest-path meters from the previous waypoint
     score: float
     cumulative: float  # running probability mass after this waypoint
+    traversed: float   # running meters walked after this waypoint
 
 
 @dataclass(frozen=True)
@@ -121,24 +123,28 @@ def make_plan(env, start: str, sequence, step_scores: dict[str, float],
               config: PlannerConfig, mode: str, total_mass: float | None = None) -> SearchPlan:
     """Assemble a SearchPlan for an explicit visiting order.
 
-    The leg and score sums are added up in visiting order; plan_optimal's
-    tie-break relies on exactly these floats.
+    This is the one walk of the graph along a plan: every leg, in meters and
+    normalized, and every running sum is added up here in visiting order, and
+    an episode reads them off a prefix of `per_step`. plan_optimal's tie-break
+    relies on exactly these floats.
     """
     env._require(start)
     norm = _normalizer(env, config)
     sequence = tuple(sequence)
     steps = []
-    dist_sum = score_sum = cumulative = 0.0
+    dist_sum = score_sum = cumulative = traversed = 0.0
     previous = start
     for rank, waypoint in enumerate(sequence, start=1):
         if waypoint not in step_scores:
             raise PlannerError(f"waypoint {waypoint!r} in sequence has no score")
-        leg = env.distance(previous, waypoint) / norm
+        meters = env.distance(previous, waypoint)
+        leg = meters / norm
         score = step_scores[waypoint]
         dist_sum += leg
         score_sum += score / rank
         cumulative += score
-        steps.append(PlanStep(waypoint=waypoint, leg=leg, score=score, cumulative=cumulative))
+        traversed += meters
+        steps.append(PlanStep(waypoint, leg, meters, score, cumulative, traversed))
         previous = waypoint
     return SearchPlan(
         start=start,

@@ -1,8 +1,10 @@
-"""Discrete episode simulator: walks a search plan against ground truth.
+"""Discrete episode simulator: draws detections along a search plan.
 
-Perception is parametric rather than visual: a true-positive rate for spotting
-the real target and a false-positive rate per inspected non-target object.
-Episodes are fully deterministic given the seed.
+The plan already carries every leg in meters and the running meters and
+probability mass, so an episode is the walked prefix of its plan plus the
+detection that ended it. Perception is parametric rather than visual: a
+true-positive rate for spotting the real target and a false-positive rate per
+inspected non-target object. Episodes are fully deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .env_graph import Environment, GroundTruth, SeenObject
-    from .planner import SearchPlan
+    from .planner import PlanStep, SearchPlan
+
+# An episode is lost once the inspected waypoints hold this share of the
+# plan's total probability mass.
+LOST_THRESHOLD = 0.95
 
 
 class Outcome(str, Enum):
@@ -40,13 +46,8 @@ class PerceptionModel:
 
 @dataclass(frozen=True)
 class SimulationParams:
-    lost_threshold: float = 0.95  # fraction of total probability mass
     perception: PerceptionModel = PerceptionModel()
     seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.lost_threshold <= 1.0:
-            raise ValueError(f"lost_threshold must be in (0, 1], got {self.lost_threshold}")
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,7 @@ class DetectionOutcome:
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    waypoint: str
-    leg_meters: float
-    consumed: float
-    detection: DetectionOutcome
+NO_DETECTION = DetectionOutcome(DetectionOutcome.NONE)
 
 
 @dataclass(frozen=True)
@@ -72,8 +68,11 @@ class EpisodeResult:
     outcome: Outcome
     traversed_length: float
     ideal_length: float
-    steps: tuple[StepRecord, ...]
+    steps: tuple["PlanStep", ...]  # the walked prefix of plan.per_step
     seed: int
+    # The last step's detection; only the last inspected step can trigger,
+    # because a true or false positive ends the episode.
+    detection: DetectionOutcome = NO_DETECTION
 
 
 def inspect(objects: Iterable["SeenObject"], truth: "GroundTruth",
@@ -89,12 +88,12 @@ def inspect(objects: Iterable["SeenObject"], truth: "GroundTruth",
         else:
             if rng.random() < perception.false_positive_rate:
                 return DetectionOutcome(DetectionOutcome.FALSE_POSITIVE, obj.instance_id)
-    return DetectionOutcome(DetectionOutcome.NONE)
+    return NO_DETECTION
 
 
 def run_episode(env: "Environment", plan: "SearchPlan", truth: "GroundTruth",
                 params: SimulationParams, seed: int | None = None) -> EpisodeResult:
-    """Visit the plan's waypoints in order until found, lost, or exhausted.
+    """Inspect the plan's waypoints in order until found, lost, or exhausted.
 
     The lost check runs after each waypoint's inspections, so the waypoint at
     which the threshold is crossed is still inspected and nothing beyond it is.
@@ -108,33 +107,29 @@ def run_episode(env: "Environment", plan: "SearchPlan", truth: "GroundTruth",
     host_waypoint = host.waypoint
     ideal = env.distance(plan.start, host_waypoint)
 
-    traversed = 0.0
-    consumed = 0.0
-    position = plan.start
-    steps: list[StepRecord] = []
+    lost_mass = LOST_THRESHOLD * plan.total_mass
+    stop = 0
+    detection = NO_DETECTION
     outcome = Outcome.EXHAUSTED
 
-    for step in plan.per_step:
-        leg = env.distance(position, step.waypoint)
-        traversed += leg
-        position = step.waypoint
+    for stop, step in enumerate(plan.per_step, 1):
         detection = inspect(env.objects_at(step.waypoint), truth, params.perception, rng)
-        consumed += step.score
-        steps.append(StepRecord(step.waypoint, leg, consumed, detection))
         if detection.kind == DetectionOutcome.TRUE_POSITIVE:
             outcome = Outcome.FOUND
             break
         if detection.kind == DetectionOutcome.FALSE_POSITIVE:
             outcome = Outcome.FOUND_FALSE
             break
-        if consumed >= params.lost_threshold * plan.total_mass:
+        if step.cumulative >= lost_mass:
             outcome = Outcome.LOST
             break
 
+    steps = plan.per_step[:stop]
     return EpisodeResult(
         outcome=outcome,
-        traversed_length=traversed,
+        traversed_length=steps[-1].traversed if steps else 0.0,
         ideal_length=ideal,
-        steps=tuple(steps),
+        steps=steps,
         seed=seed_used,
+        detection=detection,
     )

@@ -195,12 +195,12 @@ def test_criterion_06_termination():
     plan = plan_optimal(cfg.env, "s", scores)
     result = run_episode(cfg.env, plan, cfg.truth, SimulationParams(seed=1))
     assert result.outcome is Outcome.LOST
-    consumed = result.steps[-1].consumed
+    consumed = result.steps[-1].cumulative
     assert consumed >= 0.95 * plan.total_mass
     # the lost check fires after the triggering waypoint; nothing beyond it is inspected
     trigger_index = len(result.steps) - 1
     assert [s.waypoint for s in result.steps] == list(plan.sequence[:trigger_index + 1])
-    assert result.steps[-2].consumed < 0.95 * plan.total_mass
+    assert result.steps[-2].cumulative < 0.95 * plan.total_mass
     assert all(s.waypoint != "w5" for s in result.steps)
 
 

@@ -51,7 +51,7 @@ class TestRunEpisode:
         params = SimulationParams(perception=PerceptionModel(0.0, 0.0), seed=1)
         result = run_episode(env, plan, GroundTruth("drill", "obj-1"), params)
         assert result.outcome is Outcome.LOST
-        assert result.steps[-1].consumed >= 0.95 * plan.total_mass
+        assert result.steps[-1].cumulative >= 0.95 * plan.total_mass
 
     def test_hand_simulated_episode(self):
         # scores 0.5/0.3/0.15/0.05 with the target hosted at the third stop:
@@ -62,9 +62,20 @@ class TestRunEpisode:
         result = run_episode(env, plan, GroundTruth("drill", "obj-3"), perfect())
         assert result.outcome is Outcome.FOUND
         assert len(result.steps) == 3
-        assert result.steps[1].consumed == pytest.approx(0.8)
+        assert result.steps[1].cumulative == pytest.approx(0.8)
         assert result.traversed_length == 3.0
         assert result.ideal_length == env.distance("s", "w3")
+
+    def test_episode_is_the_walked_prefix_of_its_plan(self):
+        env = four_stop_env()
+        plan = plan_for(env, "s", {"w1": 0.5, "w2": 0.3, "w3": 0.15, "w4": 0.05},
+                        order=["w3", "w1", "w4", "w2"])
+        result = run_episode(env, plan, GroundTruth("drill", "obj-4"), perfect())
+        assert result.outcome is Outcome.FOUND
+        assert all(a is b for a, b in zip(result.steps, plan.per_step[:3], strict=True))
+        assert [s.leg_meters for s in result.steps] == [3.0, 2.0, 3.0]
+        assert result.traversed_length == result.steps[-1].traversed == 8.0
+        assert result.detection == DetectionOutcome(DetectionOutcome.TRUE_POSITIVE, "obj-4")
 
     def test_false_positive_commits_and_fails(self):
         env = four_stop_env()
@@ -72,7 +83,7 @@ class TestRunEpisode:
         params = SimulationParams(perception=PerceptionModel(1.0, 1.0), seed=3)
         result = run_episode(env, plan, GroundTruth("drill", "obj-2"), params)
         assert result.outcome is Outcome.FOUND_FALSE
-        assert result.steps[-1].detection.instance_id == "obj-1"
+        assert result.detection.instance_id == "obj-1"
         assert result.traversed_length == 1.0
 
     def test_exhausted_when_mass_below_threshold(self):
@@ -121,10 +132,12 @@ class TestRunEpisode:
         env = four_stop_env()
         scores = {"w1": 0.4, "w2": 0.3, "w3": 0.2, "w4": 0.1}
         plan = plan_for(env, "s", scores, order=["w1", "w2", "w3", "w4"])
-        params = SimulationParams(perception=PerceptionModel(0.0, 0.0),
-                                  lost_threshold=1.0, seed=1)
+        params = SimulationParams(perception=PerceptionModel(0.0, 0.0), seed=1)
         result = run_episode(env, plan, GroundTruth("drill", "obj-1"), params)
-        assert result.steps[-1].consumed <= plan.total_mass + 1e-9
+        # 0.9 after w3 is below the lost threshold, so the episode walks all four stops
+        assert result.outcome is Outcome.LOST
+        assert [s.waypoint for s in result.steps] == ["w1", "w2", "w3", "w4"]
+        assert result.steps[-1].cumulative <= plan.total_mass + 1e-9
 
     def test_seed_recorded(self):
         env = four_stop_env()
@@ -182,7 +195,3 @@ class TestParams:
             PerceptionModel(true_positive_rate=1.2)
         with pytest.raises(ValueError):
             PerceptionModel(false_positive_rate=-0.1)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            SimulationParams(lost_threshold=0.0)
