@@ -76,6 +76,23 @@ class TestScore:
         assert "0.100000" in out
         assert "model answers" in out
 
+    def test_printout_is_pinned(self, monkeypatch, capsys, farm_cfg):
+        from stub_server import StubServer
+
+        digest = hashlib.sha256()
+        assert run_cli("score", "--scenario", str(FARM_SCENARIO)) == 0
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+        # the dynamic stub derives each label's raw score from its prompt
+        with StubServer(dynamic=True) as server:
+            monkeypatch.setenv("SEMSEARCH_BASE_URL", server.base_url)
+            monkeypatch.setenv("SEMSEARCH_API_KEY", "test-key")
+            assert run_cli("score", "--scenario", str(FARM_SCENARIO), "--scorer", "llm") == 0
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+        asked = [body["messages"][-1]["content"] for _, _, body in server.requests]
+        assert asked == [f"I see the following: {label}. Where should I go to find drill?"
+                         for label in farm_cfg.env.labels()]
+        assert digest.hexdigest() == SCORE_DIGEST
+
 
 class TestPlan:
     def test_farm_plan_prints_mode_and_cost(self, capsys):
@@ -314,6 +331,11 @@ class TestBench:
         summary = read_csv(out_dir / "summary.csv")
         assert [r["method"] for r in summary] == ["losae"]
 
+
+# SHA-256 of `score` stdout with the table scorer, then with `--scorer llm`
+# against the dynamic stub; any change to a probability, a raw score, the row
+# order or the model answers shows here.
+SCORE_DIGEST = "eb954084a03f457e0ceeaa9dc6057b49c7ff88e5edde8940d9c08f5612cd71ca"
 
 # SHA-256 of `plan --start W` stdout for every farm waypoint in document order;
 # any change to a column, the leg(m) meters included, shows here.
