@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -114,16 +113,16 @@ def split_across_instances(dist: AffinityDistribution, objects) -> dict[str, flo
 
 
 class AffinityScorer(Protocol):
-    def score(self, seen_label: str, target_label: str) -> "TokenLogprobs | float": ...
+    def score(self, seen_label: str, target_label: str) -> float: ...
 
 
 class TableScorer:
     """Raw scores from a declared table keyed 'name|target', plus an optional
     'default' for absent pairs.
 
-    Tables come from a scenario document. Lookups ignore case and surrounding
-    whitespace. Subclasses set the key name, the value cap and the error a
-    missing pair raises.
+    Lookups ignore case and surrounding whitespace, so two keys that are
+    equal after normalize_label are an error. Subclasses set the key name,
+    the value cap and the error a missing pair raises.
     """
 
     KEY = "seen|target"
@@ -133,6 +132,7 @@ class TableScorer:
     def __init__(self, table: dict):
         self.default: float | None = None
         self._table: dict[tuple[str, str], float] = {}
+        written: dict[tuple[str, str], str] = {}
         for key, value in table.items():
             value = float(value)
             if value < 0:
@@ -145,7 +145,11 @@ class TableScorer:
             if "|" not in key:
                 raise ValueError(f"table key {key!r} is not {self.KEY!r}")
             name, target = key.split("|", 1)
-            self._table[(normalize_label(name), normalize_label(target))] = value
+            pair = (normalize_label(name), normalize_label(target))
+            if pair in written:
+                raise ValueError(f"table keys {written[pair]!r} and {key!r} name the same pair")
+            written[pair] = key
+            self._table[pair] = value
 
     def score(self, name: str, target_label: str) -> float:
         pair = (normalize_label(name), normalize_label(target_label))
@@ -157,7 +161,7 @@ class TableScorer:
 
 
 class LLMScorer:
-    """Scores a pair by prompting the model and returning the completion's logprobs.
+    """Scores a pair as aggregate_logprobs of the model's completion to its prompt.
 
     The completion's text answer plays no part in the score; it is kept in
     `answers` so episode logs can show what the model actually said.
@@ -167,7 +171,7 @@ class LLMScorer:
         self.gateway = gateway
         self.answers: dict[tuple[str, str], str] = {}
 
-    def score(self, seen_label: str, target_label: str) -> TokenLogprobs:
+    def score(self, seen_label: str, target_label: str) -> float:
         prompt = build_prompt(seen_label, target_label)
         result = self.gateway.complete(CompletionRequest(
             system_text=prompt.system_text,
@@ -176,29 +180,22 @@ class LLMScorer:
             max_tokens=64,
         ))
         self.answers[(normalize_label(seen_label), normalize_label(target_label))] = result.answer_text
-        return result.token_logprobs
+        return aggregate_logprobs(result.token_logprobs)
 
 
 def _raw_score(scorer: AffinityScorer, seen_label: str, target_label: str) -> float:
     try:
-        value = scorer.score(seen_label, target_label)
+        value = float(scorer.score(seen_label, target_label))
     except Exception as exc:
         raise ScorerError(f"scorer failed for seen label {seen_label!r}: {exc}") from exc
-    if isinstance(value, TokenLogprobs):
-        return aggregate_logprobs(value)
-    value = float(value)
     if value < 0:
         raise ScorerError(f"scorer returned negative raw score {value} for {seen_label!r}")
     return value
 
 
-def score_distribution(scorer: AffinityScorer, seen_labels: list[str], target_label: str,
-                       parallel: int = 1) -> AffinityDistribution:
-    """Query the scorer once per seen label and normalize the raw values.
-
-    Queries are independent by construction so they may run concurrently;
-    results are keyed by label, never by completion order.
-    """
+def score_distribution(scorer: AffinityScorer, seen_labels: list[str],
+                       target_label: str) -> AffinityDistribution:
+    """Query the scorer once per seen label, in order, and normalize the raw values."""
     if not seen_labels:
         raise ValueError("seen_labels is empty")
     cleaned = [label.strip() for label in seen_labels]
@@ -208,14 +205,7 @@ def score_distribution(scorer: AffinityScorer, seen_labels: list[str], target_la
         raise ValueError(f"seen_labels contains duplicates after normalization: {dupes}")
 
     target = target_label.strip()
-    if parallel > 1 and len(cleaned) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            futures = {key: pool.submit(_raw_score, scorer, label, target)
-                       for key, label in zip(keys, cleaned)}
-            raw = {key: futures[key].result() for key in keys}
-    else:
-        raw = {key: _raw_score(scorer, label, target) for key, label in zip(keys, cleaned)}
-
+    raw = {key: _raw_score(scorer, label, target) for key, label in zip(keys, cleaned)}
     return normalized_distribution(raw, target)
 
 

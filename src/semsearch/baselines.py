@@ -133,19 +133,33 @@ class Embedder(Protocol):
 
 
 class TableEmbedder:
-    """Declared vectors, typically from a scenario's embeddings section."""
+    """Nonzero vectors of one length, keyed by normalized label in `vectors`;
+    two labels equal after normalize_label are an error."""
 
     def __init__(self, vectors: dict[str, tuple[float, ...]]):
-        self._vectors = {normalize_label(k): tuple(float(x) for x in v) for k, v in vectors.items()}
-        for label, vec in self._vectors.items():
+        self.vectors: dict[str, tuple[float, ...]] = {}
+        written: dict[str, str] = {}  # normalized label -> label as written
+        first = None  # (label, length) of the first vector
+        for label, vector in vectors.items():
+            key = normalize_label(label)
+            if key in written:
+                raise EmbeddingError(
+                    f"embedding labels {written[key]!r} and {label!r} name the same label")
+            vec = tuple(float(x) for x in vector)
             if not vec or all(x == 0.0 for x in vec):
                 raise EmbeddingError(f"embedding vector for {label!r} is empty or all zero")
+            first = first or (label, len(vec))
+            if len(vec) != first[1]:
+                raise EmbeddingError(f"embedding vector for {label!r} has length {len(vec)}, "
+                                     f"but the one for {first[0]!r} has length {first[1]}")
+            written[key] = label
+            self.vectors[key] = vec
 
     def embed(self, text: str) -> tuple[float, ...]:
         key = normalize_label(text)
-        if key not in self._vectors:
+        if key not in self.vectors:
             raise EmbeddingError(f"no declared embedding vector for {text!r}")
-        return self._vectors[key]
+        return self.vectors[key]
 
 
 class HashEmbedder:

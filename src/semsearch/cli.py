@@ -191,7 +191,7 @@ def cmd_score(args) -> int:
     cfg = load_scenario_path(args.scenario)
     target = args.target or cfg.truth.target_label
     scorer, _ = _make_scorers(cfg, args, AFFINITY_METHODS)
-    dist = score_distribution(scorer, cfg.env.labels(), target, parallel=args.parallel)
+    dist = score_distribution(scorer, cfg.env.labels(), target)
     print(f"target: {dist.target_label}")
     print(f"{'label':<24} {'probability':>12} {'raw':>12}")
     for label, p in sorted(dist.entries.items(), key=lambda kv: (-kv[1], kv[0])):
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="print the affinity distribution for a target")
     _add_common(p)
-    p.add_argument("--parallel", type=int, default=1, help="concurrent scorer queries")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("plan", help="print the planned search path for a target")

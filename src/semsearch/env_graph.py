@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .affinity import normalize_label
+from .affinity import TableScorer, normalize_label
+from .baselines import EmbeddingError, TableEmbedder, TableRoomScorer
 from .search_sim import PerceptionModel, SimulationParams
 
 
@@ -133,9 +134,13 @@ class Environment:
             self.objects[obj.instance_id] = obj
 
         self.rooms: dict[str, Room] = {}
+        names: dict[str, str] = {}  # normalized room name -> name as written
         for room in rooms:
-            if room.name in self.rooms:
-                raise ScenarioValidationError(f"duplicate room name {room.name!r}")
+            key = normalize_label(room.name)
+            if key in names:
+                raise ScenarioValidationError(
+                    f"room names {names[key]!r} and {room.name!r} name the same room")
+            names[key] = room.name
             if not room.waypoints:
                 raise ScenarioValidationError(f"room {room.name!r} has no waypoints")
             for wid in room.waypoints:
@@ -266,8 +271,17 @@ def _as_number(value, where: str) -> float:
     return float(value)
 
 
+def _checked(section: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs), with the rule it breaks reported against `section`."""
+    try:
+        return cls(*args, **kwargs)
+    except (ValueError, EmbeddingError) as exc:
+        raise ScenarioValidationError(f"{section}: {exc}") from exc
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse and validate one scenario document."""
+    """Parse and validate one scenario document; its score tables and vectors
+    are checked by the classes that read them."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -328,13 +342,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
         p = doc["perception"]
         _require_keys(p, {"true_positive_rate", "false_positive_rate"},
                       {"true_positive_rate", "false_positive_rate"}, "perception")
-        try:
-            perception = PerceptionModel(
-                true_positive_rate=_as_number(p["true_positive_rate"], "true_positive_rate"),
-                false_positive_rate=_as_number(p["false_positive_rate"], "false_positive_rate"),
-            )
-        except ValueError as exc:
-            raise ScenarioValidationError(str(exc)) from exc
+        perception = _checked(
+            "perception", PerceptionModel,
+            true_positive_rate=_as_number(p["true_positive_rate"], "true_positive_rate"),
+            false_positive_rate=_as_number(p["false_positive_rate"], "false_positive_rate"))
 
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -345,7 +356,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if "scorer" in doc:
         s = doc["scorer"]
         _require_keys(s, {"kind", "table"}, {"kind"}, "scorer")
-        kind = str(s["kind"])
+        kind = _as_str(s["kind"], "scorer kind")
         if kind not in ("llm", "table"):
             raise ScenarioValidationError(f"scorer kind must be 'llm' or 'table', got {kind!r}")
         table = s.get("table")
@@ -358,38 +369,22 @@ def parse_scenario(text: str) -> ScenarioConfig:
     room_scores = None
     if "room_scores" in doc:
         room_scores = dict(_as_object(doc["room_scores"], "room_scores"))
-    for section, table in (("scorer table", scorer and scorer.table), ("room_scores", room_scores)):
-        pairs: dict[tuple[str, ...], str] = {}  # normalized key -> key as written
-        for key, value in (table or {}).items():
-            if key != "default" and "|" not in key:
-                raise ScenarioParseError(f"{section} key {key!r} is not 'name|target'")
-            _as_number(value, f"{section}[{key!r}]")
-            pair = tuple(normalize_label(part) for part in key.split("|", 1))
-            if pair in pairs:
-                raise ScenarioValidationError(
-                    f"{section} keys {pairs[pair]!r} and {key!r} name the same pair")
-            pairs[pair] = key
+    for section, table, cls in (("scorer table", scorer and scorer.table, TableScorer),
+                                ("room_scores", room_scores, TableRoomScorer)):
+        if table:
+            for key, value in table.items():
+                if key != "default" and "|" not in key:
+                    raise ScenarioParseError(f"{section} key {key!r} is not 'name|target'")
+                _as_number(value, f"{section}[{key!r}]")
+            _checked(section, cls, table)
 
     embeddings = None
     if "embeddings" in doc:
-        embeddings = {}
-        labels: dict[str, str] = {}  # normalized label -> label as written
+        vectors = {}
         for label, vector in _as_object(doc["embeddings"], "embeddings").items():
-            key = normalize_label(label)
-            if key in labels:
-                raise ScenarioValidationError(
-                    f"embeddings labels {labels[key]!r} and {label!r} name the same label")
-            labels[key] = label
             where = f"embeddings[{label!r}]"
-            values = tuple(_as_number(v, where) for v in _as_list(vector, where))
-            if not values or all(v == 0.0 for v in values):
-                raise ScenarioValidationError(f"embedding vector for {label!r} is empty or all zero")
-            first = next(iter(embeddings), None)
-            if first is not None and len(values) != len(embeddings[first]):
-                raise ScenarioValidationError(
-                    f"embedding vector for {label!r} has length {len(values)}, "
-                    f"but the one for {first!r} has length {len(embeddings[first])}")
-            embeddings[key] = values
+            vectors[label] = tuple(_as_number(v, where) for v in _as_list(vector, where))
+        embeddings = _checked("embeddings", TableEmbedder, vectors).vectors
 
     return ScenarioConfig(env=env, truth=truth, params=params, scorer=scorer,
                           room_scores=room_scores, embeddings=embeddings)

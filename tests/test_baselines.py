@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -146,6 +147,19 @@ class TestSimilarityRank:
     def test_missing_table_vector(self):
         with pytest.raises(EmbeddingError, match="rake"):
             similarity_rank(TableEmbedder({"drill": (1.0,)}), ["rake"], "drill")
+
+    @pytest.mark.parametrize("vectors, message", [
+        pytest.param({"drill": (1.0, 0.0), "Drill ": (0.0, 1.0)},
+                     "labels 'drill' and 'Drill ' name the same label", id="duplicate"),
+        pytest.param({"drill": (1.0, 0.0), "Hose ": (0.0, 0.0)},
+                     "vector for 'Hose ' is empty or all zero", id="zero"),
+        pytest.param({"Drill": (1.0, 0.0), "Hose ": (0.0, 1.0, 0.5)},
+                     "vector for 'Hose ' has length 3, but the one for 'Drill' has length 2",
+                     id="length"),
+    ])
+    def test_table_vectors_checked_at_construction(self, vectors, message):
+        with pytest.raises(EmbeddingError, match=re.escape(message)):
+            TableEmbedder(vectors)
 
     def test_cosine_range(self):
         embedder = HashEmbedder()

@@ -159,6 +159,8 @@ class TestLoadScenario:
                      ScenarioParseError, "scorer table key 'hammer'", id="table-key"),
         pytest.param(("embeddings",), {"hammer": [1.0, 0.0], "drill": [0.0, 1.0, 0.5]},
                      ScenarioValidationError, "'drill' has length 3", id="embedding-length"),
+        pytest.param(("scorer",), {"kind": None}, ScenarioParseError, "scorer kind",
+                     id="scorer-kind"),
     ])
     def test_field_of_wrong_type_names_it(self, path, value, error, field):
         doc = minimal_doc(rooms=[{"name": "shed", "waypoints": ["w1"]}])
@@ -188,6 +190,39 @@ class TestLoadScenario:
         node[key] = value
         with pytest.raises(ScenarioValidationError,
                            match=re.escape(f"{declared!r} and {key!r}")):
+            parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", ["table", "llm"])
+    @pytest.mark.parametrize("path, section, key, value, rule", [
+        pytest.param(("scorer", "table"), "scorer table", "screwdriver|drill", 1.5,
+                     "is above 1.0", id="above"),
+        pytest.param(("scorer", "table"), "scorer table", "screwdriver|drill", -0.2,
+                     "is negative", id="negative"),
+        pytest.param(("room_scores",), "room_scores", "tool storage|drill", -3,
+                     "is negative", id="room"),
+    ])
+    def test_table_value_out_of_range_rejected_at_load(self, farm_doc, kind, path, section,
+                                                        key, value, rule):
+        # Otherwise the document loads and fails only when a command scores,
+        # or never with the llm scorer.
+        doc = copy.deepcopy(farm_doc)
+        doc["scorer"]["kind"] = kind
+        node = doc
+        for step in path:
+            node = node[step]
+        assert key in node
+        node[key] = value
+        with pytest.raises(ScenarioValidationError,
+                           match=re.escape(f"{section}: table value for {key!r} {rule}")):
+            parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", ["harvest station", " HARVEST STATION"])
+    def test_room_names_equal_after_normalization_rejected(self, farm_doc, name):
+        # Otherwise both rooms get the one room score and its mass counts twice.
+        doc = copy.deepcopy(farm_doc)
+        doc["rooms"].append({"name": name, "waypoints": ["hv1"]})
+        with pytest.raises(ScenarioValidationError,
+                           match=re.escape(f"'harvest station' and {name!r}")):
             parse_scenario(json.dumps(doc))
 
     def test_bad_seed_rejected(self):

@@ -244,19 +244,6 @@ class TestConcurrency:
         for text, result in zip(prompts, concurrent):
             assert cold.complete(req(user_text=text)) == result
 
-    def test_parallel_distribution_matches_sequential(self):
-        from semsearch.affinity import LLMScorer, score_distribution
-
-        labels = [f"tool {chr(97 + i)}" for i in range(8)]
-        with StubServer(dynamic=True) as server:
-            gateway = LLMGateway(make_config(server.base_url))
-            sequential = score_distribution(LLMScorer(gateway), labels, "drill")
-        with StubServer(dynamic=True) as server:
-            gateway = LLMGateway(make_config(server.base_url))
-            parallel = score_distribution(LLMScorer(gateway), labels, "drill", parallel=6)
-        assert parallel.entries == sequential.entries
-        assert parallel.raw == sequential.raw
-
 
 class TestDigest:
     def test_identical_content_same_key(self):
@@ -282,11 +269,9 @@ class TestRequestTypes:
 @pytest.mark.skipif(os.environ.get("SEMSEARCH_LIVE_TEST") != "1",
                     reason="live API smoke test is opt-in (SEMSEARCH_LIVE_TEST=1)")
 def test_live_endpoint_smoke():
-    from semsearch.affinity import LLMScorer, aggregate_logprobs
+    from semsearch.affinity import LLMScorer
 
-    gateway = LLMGateway(GatewayConfig.from_env())
-    scorer = LLMScorer(gateway)
-    logprobs = scorer.score("screwdriver", "drill")
-    assert len(logprobs) >= 1
-    assert all(lp <= 0 for _, lp in logprobs.tokens)
-    assert 0.0 < aggregate_logprobs(logprobs) <= 1.0
+    scorer = LLMScorer(LLMGateway(GatewayConfig.from_env()))
+    score = scorer.score("screwdriver", "drill")
+    assert isinstance(score, float)
+    assert 0.0 < score <= 1.0
