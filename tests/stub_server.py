@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
@@ -22,6 +23,12 @@ def ok_completion(tokens=None, answer="the shelf", model="stub-model"):
     }
 
 
+def dynamic_logprob(user_text):
+    """A logprob in (-2.5, -0.05] read from the first 32 bits of the text's SHA-256."""
+    digest = hashlib.sha256(user_text.encode("utf-8")).digest()
+    return -(0.05 + 2.45 * int.from_bytes(digest[:4], "big") / 2 ** 32)
+
+
 def no_logprobs_completion(answer="the shelf"):
     return {"model": "stub-model",
             "choices": [{"message": {"role": "assistant", "content": answer}}]}
@@ -31,8 +38,9 @@ class StubServer:
     """Serves scripted responses in order; repeats the last one when exhausted.
 
     Script entries: ("json", payload), ("status", code), ("raw", text).
-    With dynamic=True an unscripted completion derives its logprob from the
-    request's user text, so each distinct prompt gets a distinct stable score.
+    With dynamic=True an unscripted completion derives its logprob from a
+    digest of the request's user text, so distinct prompts get distinct stable
+    scores.
     Records (monotonic_time, path, parsed_body) per request.
     """
 
@@ -54,7 +62,7 @@ class StubServer:
                         entry = server.script.popleft()
                     elif server.dynamic:
                         user = body.get("messages", [{}, {}])[-1].get("content", "")
-                        lp = -((sum(map(ord, user)) % 19) + 1) / 10.0
+                        lp = dynamic_logprob(user)
                         entry = ("json", ok_completion(tokens=[("w", lp)], answer=user[:16]))
                     else:
                         entry = server.default
@@ -82,7 +90,10 @@ class StubServer:
                 pass
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # A short poll interval lets shutdown() return within about 10 ms
+        # instead of the 0.5 s default, which every test exit would wait out.
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.01}, daemon=True)
 
     @property
     def base_url(self) -> str:

@@ -335,7 +335,7 @@ class TestBench:
 # SHA-256 of `score` stdout with the table scorer, then with `--scorer llm`
 # against the dynamic stub; any change to a probability, a raw score, the row
 # order or the model answers shows here.
-SCORE_DIGEST = "eb954084a03f457e0ceeaa9dc6057b49c7ff88e5edde8940d9c08f5612cd71ca"
+SCORE_DIGEST = "fe3bd8bb327c6a0c8ba5db67d12c6d5595968a162507b907510b523ee6bd440c"
 
 # SHA-256 of `plan --start W` stdout for every farm waypoint in document order;
 # any change to a column, the leg(m) meters included, shows here.
