@@ -120,9 +120,10 @@ class TableScorer:
     """Raw scores from a declared table keyed 'name|target', plus an optional
     'default' for absent pairs.
 
-    Lookups ignore case and surrounding whitespace, so two keys that are
-    equal after normalize_label are an error. Subclasses set the key name,
-    the value cap and the error a missing pair raises.
+    Values must be finite and lie in [0, CAP]. Lookups ignore case and
+    surrounding whitespace, so two keys that are equal after normalize_label
+    are an error. Subclasses set the key name, the value cap and the error a
+    missing pair raises.
     """
 
     KEY = "seen|target"
@@ -135,6 +136,8 @@ class TableScorer:
         written: dict[tuple[str, str], str] = {}
         for key, value in table.items():
             value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"table value for {key!r} is not finite: {value}")
             if value < 0:
                 raise ValueError(f"table value for {key!r} is negative: {value}")
             if value > self.CAP:
@@ -188,6 +191,8 @@ def _raw_score(scorer: AffinityScorer, seen_label: str, target_label: str) -> fl
         value = float(scorer.score(seen_label, target_label))
     except Exception as exc:
         raise ScorerError(f"scorer failed for seen label {seen_label!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ScorerError(f"scorer returned non-finite raw score {value} for {seen_label!r}")
     if value < 0:
         raise ScorerError(f"scorer returned negative raw score {value} for {seen_label!r}")
     return value

@@ -15,7 +15,6 @@ import hashlib
 import math
 import random
 import re
-from dataclasses import dataclass
 from typing import Protocol
 
 from .affinity import (AffinityDistribution, TableScorer, normalize_label,
@@ -123,17 +122,12 @@ def room_scores(scorer: RoomScorer, rooms: list[str], target_label: str) -> Affi
 
 # -- embedding similarity ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimilarityRanking:
-    entries: tuple[tuple[str, float], ...]  # sorted nonincreasing; ties lexicographic
-
-
 class Embedder(Protocol):
     def embed(self, text: str) -> tuple[float, ...]: ...
 
 
 class TableEmbedder:
-    """Nonzero vectors of one length, keyed by normalized label in `vectors`;
+    """Finite, nonzero vectors of one length, keyed by normalized label in `vectors`;
     two labels equal after normalize_label are an error."""
 
     def __init__(self, vectors: dict[str, tuple[float, ...]]):
@@ -148,6 +142,8 @@ class TableEmbedder:
             vec = tuple(float(x) for x in vector)
             if not vec or all(x == 0.0 for x in vec):
                 raise EmbeddingError(f"embedding vector for {label!r} is empty or all zero")
+            if not all(map(math.isfinite, vec)):
+                raise EmbeddingError(f"embedding vector for {label!r} has a non-finite component")
             first = first or (label, len(vec))
             if len(vec) != first[1]:
                 raise EmbeddingError(f"embedding vector for {label!r} has length {len(vec)}, "
@@ -190,8 +186,9 @@ def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     return dot / (na * nb)
 
 
-def similarity_rank(embedder: Embedder, labels: list[str], target_label: str) -> SimilarityRanking:
-    """Cosine similarity of each label to the target, sorted highest first."""
+def similarity_rank(embedder: Embedder, labels: list[str], target_label: str) -> dict[str, float]:
+    """Cosine similarity of each normalized label to the target, in rank order:
+    highest first, ties lexicographic."""
     if not labels:
         raise ValueError("labels is empty")
     try:
@@ -205,8 +202,7 @@ def similarity_rank(embedder: Embedder, labels: list[str], target_label: str) ->
         raise
     except Exception as exc:
         raise EmbeddingError(f"embedding provider failed: {exc}") from exc
-    ordered = sorted(sims.items(), key=lambda item: (-item[1], item[0]))
-    return SimilarityRanking(tuple(ordered))
+    return dict(sorted(sims.items(), key=lambda item: (-item[1], item[0])))
 
 
 # -- plans ------------------------------------------------------------------------
@@ -219,22 +215,21 @@ def _room_representative(env, room) -> str:
     return min(sorted(room.waypoints), key=lambda w: (math.dist((env.waypoints[w].x, env.waypoints[w].y), (cx, cy)), w))
 
 
-def _room_visit_order(env, room, ranking: SimilarityRanking) -> list[str]:
+def _room_visit_order(env, room, ranking: dict[str, float]) -> list[str]:
     """Object-bearing waypoints of the room, best hosted similarity first."""
-    sims = dict(ranking.entries)
     candidates = []
-    for wid in sorted(set(room.waypoints)):
+    for wid in sorted(room.waypoints):
         hosted = env.objects_at(wid)
         if not hosted:
             continue
-        best = max(sims.get(normalize_label(o.label), -1.1) for o in hosted)
+        best = max(ranking.get(normalize_label(o.label), -1.1) for o in hosted)
         candidates.append((-best, wid))
     return [wid for _, wid in sorted(candidates)]
 
 
 def plan_room_search(env, room_dist: AffinityDistribution, start: str,
                      config: PlannerConfig | None = None,
-                     ranking: SimilarityRanking | None = None) -> SearchPlan:
+                     ranking: dict[str, float] | None = None) -> SearchPlan:
     """Visit rooms in cost order, sweeping each room by similarity.
 
     After a room is exhausted it is removed from the belief and the remaining
@@ -254,8 +249,7 @@ def plan_room_search(env, room_dist: AffinityDistribution, start: str,
     for room in room_dist.entries:
         if room not in env.rooms:
             raise BaselineError(f"room {room!r} is not declared in the environment")
-    if ranking is None:
-        ranking = SimilarityRanking(tuple())
+    ranking = ranking or {}
 
     reps = {room: _room_representative(env, env.rooms[room]) for room in room_dist.entries}
     remaining = dict(room_dist.entries)

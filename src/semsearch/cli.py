@@ -182,7 +182,7 @@ def _positive_int(text: str) -> int:
 
 
 def _planner_config(args) -> PlannerConfig:
-    return PlannerConfig(score_weight=args.score_weight, distance_normalizer=args.normalizer)
+    return PlannerConfig(score_weight=args.score_weight)
 
 
 # -- commands -----------------------------------------------------------------------
@@ -272,9 +272,6 @@ def _add_planner(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="score_weight", type=float,
                    default=PlannerConfig.score_weight,
                    help="score weight in the plan cost (default %(default)s)")
-    p.add_argument("--normalizer", choices=("max_pairwise", "none"),
-                   default=PlannerConfig.distance_normalizer,
-                   help="leg distance normalization (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -143,10 +143,13 @@ class Environment:
             names[key] = room.name
             if not room.waypoints:
                 raise ScenarioValidationError(f"room {room.name!r} has no waypoints")
-            for wid in room.waypoints:
+            for i, wid in enumerate(room.waypoints):
                 if wid not in self.waypoints:
                     raise ScenarioValidationError(
                         f"room {room.name!r} references unknown waypoint {wid!r}")
+                if wid in room.waypoints[:i]:
+                    raise ScenarioValidationError(
+                        f"room {room.name!r} lists waypoint {wid!r} more than once")
             self.rooms[room.name] = room
 
         ids = sorted(self.waypoints)

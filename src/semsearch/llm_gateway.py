@@ -216,7 +216,6 @@ class GatewayConfig:
     timeout_s: float = 30.0
     max_attempts: int = 5
     backoff_base_s: float = 0.5
-    max_in_flight: int = 4
     requests_per_second: float = 4.0
     burst: int = 4
 
@@ -244,7 +243,6 @@ class LLMGateway:
         self.cache = cache
         self._url = config.base_url.rstrip("/") + "/chat/completions"
         self._session = requests.Session()
-        self._in_flight = threading.Semaphore(config.max_in_flight)
         self._bucket = TokenBucket(config.requests_per_second, config.burst)
 
     # -- chat completions ---------------------------------------------------
@@ -310,10 +308,9 @@ class LLMGateway:
             self._bucket.acquire()
             started = time.monotonic()
             try:
-                with self._in_flight:
-                    response = self._session.post(
-                        self._url, json=body, headers=headers, timeout=self.config.timeout_s
-                    )
+                response = self._session.post(
+                    self._url, json=body, headers=headers, timeout=self.config.timeout_s
+                )
             except requests.RequestException as exc:
                 last_failure = f"transport error: {exc}"
             else:

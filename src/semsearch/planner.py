@@ -7,8 +7,8 @@ is an ordering of all score-positive waypoints minimizing
 
 where j is the 1-based visit rank, so high scores are worth the most early.
 Leg distances are normalized by the environment's maximum pairwise
-shortest-path distance by default; raw meters would dwarf the probability
-term and collapse the objective into pure distance.
+shortest-path distance; raw meters would dwarf the probability term and
+collapse the objective into pure distance.
 
 The discount depends only on how many waypoints were visited before, so the
 cost still to pay from a (visited set, last waypoint) state depends neither on
@@ -39,13 +39,10 @@ class PlannerError(Exception):
 @dataclass(frozen=True)
 class PlannerConfig:
     score_weight: float = 1.0     # weight of the discounted score term
-    distance_normalizer: str = "max_pairwise"  # or "none" for raw meters
 
     def __post_init__(self):
         if self.score_weight <= 0:
             raise ValueError(f"score_weight must be positive, got {self.score_weight}")
-        if self.distance_normalizer not in ("max_pairwise", "none"):
-            raise ValueError(f"unknown distance_normalizer {self.distance_normalizer!r}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,7 @@ class WaypointScores:
 @dataclass(frozen=True)
 class PlanStep:
     waypoint: str
-    leg: float         # normalized units (meters when normalizer is "none")
+    leg: float         # meters over the map's maximum pairwise distance
     leg_meters: float  # shortest-path meters from the previous waypoint
     score: float
     cumulative: float  # running probability mass after this waypoint
@@ -106,9 +103,7 @@ def waypoint_scores(env, dist: AffinityDistribution) -> WaypointScores:
     return WaypointScores(scores=scores, total_mass=math.fsum(scores.values()))
 
 
-def _normalizer(env, config: PlannerConfig) -> float:
-    if config.distance_normalizer == "none":
-        return 1.0
+def _normalizer(env) -> float:
     d = env.max_pairwise_distance
     return d if d > 0 else 1.0
 
@@ -129,7 +124,7 @@ def make_plan(env, start: str, sequence, step_scores: dict[str, float],
     relies on exactly these floats.
     """
     env._require(start)
-    norm = _normalizer(env, config)
+    norm = _normalizer(env)
     sequence = tuple(sequence)
     steps = []
     dist_sum = score_sum = cumulative = traversed = 0.0
@@ -203,7 +198,7 @@ def plan_optimal(env, start: str, scores: WaypointScores,
     if n > MAX_SCORED_WAYPOINTS:
         raise PlannerError(f"{n} scored waypoints exceed the planner's cap of "
                            f"{MAX_SCORED_WAYPOINTS}")
-    norm = _normalizer(env, config)
+    norm = _normalizer(env)
     weight = config.score_weight
 
     # Candidates are sorted, so index sequences compare like waypoint-id ones.

@@ -130,7 +130,8 @@ def test_criterion_04_cost_hand_cases():
         [("s", 0, 0), ("v1", 1, 0), ("v2", 1, 1)],
         [("s", "v1", 1.0), ("s", "v2", 1.0), ("v1", "v2", 0.5)],
     )
-    config = PlannerConfig(distance_normalizer="none")
+    assert env.max_pairwise_distance == 1.0  # so normalized legs equal the meters below
+    config = PlannerConfig()
     scores = WaypointScores({"v1": 0.6, "v2": 0.4}, 1.0)
     assert path_cost(["v1", "v2"], "s", scores, env, config) == 1.5 - (0.6 / 1 + 0.4 / 2)
     assert path_cost(["v1", "v2"], "s", scores, env, config) == pytest.approx(0.7, abs=1e-12)

@@ -178,6 +178,16 @@ class TestScoreDistribution:
         with pytest.raises(ScorerError, match="'b'"):
             score_distribution(scorer, ["a", "b"], "t")
 
+    @pytest.mark.parametrize("raw", [math.nan, math.inf])
+    def test_non_finite_raw_score_rejected(self, raw):
+        # Otherwise every probability is NaN and the sum check passes.
+        class Fixed:
+            def score(self, seen_label, target_label):
+                return raw
+
+        with pytest.raises(ScorerError, match=f"non-finite raw score {raw} for 'a'"):
+            score_distribution(Fixed(), ["a", "b"], "t")
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicates"):
             score_distribution(TableScorer({"a|t": 0.5}), ["a", "A "], "t")

@@ -25,9 +25,6 @@ from semsearch.planner import PlannerConfig, WaypointScores, waypoint_scores
 from conftest import make_env
 from oracles import eq3_cost
 
-RAW_CFG = PlannerConfig(distance_normalizer="none")
-
-
 def room_dist(entries):
     return AffinityDistribution("drill", entries, dict(entries))
 
@@ -123,26 +120,26 @@ class TestSimilarityRank:
     def test_identical_label_ranks_first_any_provider(self):
         for embedder in (HashEmbedder(), TableEmbedder({"drill": (1.0, 0.0), "rake": (0.0, 1.0)})):
             ranking = similarity_rank(embedder, ["rake", "drill"], "drill")
-            assert ranking.entries[0][0] == "drill"
-            assert ranking.entries[0][1] == pytest.approx(1.0, abs=1e-12)
+            assert next(iter(ranking)) == "drill"
+            assert ranking["drill"] == pytest.approx(1.0, abs=1e-12)
 
     def test_table_matches_hand_cosines(self):
         vectors = {"drill": (1.0, 0.0), "rake": (1.0, 1.0), "hose": (0.0, 1.0)}
         ranking = similarity_rank(TableEmbedder(vectors), ["rake", "hose"], "drill")
-        assert dict(ranking.entries)["rake"] == pytest.approx(1 / math.sqrt(2))
-        assert dict(ranking.entries)["hose"] == pytest.approx(0.0)
-        assert [label for label, _ in ranking.entries] == ["rake", "hose"]
+        assert ranking["rake"] == pytest.approx(1 / math.sqrt(2))
+        assert ranking["hose"] == pytest.approx(0.0)
+        assert list(ranking) == ["rake", "hose"]
 
     def test_equal_similarity_ties_lexicographic(self):
         vectors = {"t": (1.0, 0.0), "b": (0.0, 1.0), "a": (0.0, 1.0)}
         ranking = similarity_rank(TableEmbedder(vectors), ["b", "a"], "t")
-        assert [label for label, _ in ranking.entries] == ["a", "b"]
+        assert list(ranking) == ["a", "b"]
 
     def test_order_invariance(self):
         embedder = HashEmbedder()
         r1 = similarity_rank(embedder, ["a", "b", "c"], "t")
         r2 = similarity_rank(embedder, ["c", "b", "a"], "t")
-        assert r1.entries == r2.entries
+        assert list(r1.items()) == list(r2.items())
 
     def test_missing_table_vector(self):
         with pytest.raises(EmbeddingError, match="rake"):
@@ -156,6 +153,8 @@ class TestSimilarityRank:
         pytest.param({"Drill": (1.0, 0.0), "Hose ": (0.0, 1.0, 0.5)},
                      "vector for 'Hose ' has length 3, but the one for 'Drill' has length 2",
                      id="length"),
+        pytest.param({"drill": (1.0, 0.0), "Hose ": (math.nan, math.nan)},
+                     "vector for 'Hose ' has a non-finite component", id="nan"),
     ])
     def test_table_vectors_checked_at_construction(self, vectors, message):
         with pytest.raises(EmbeddingError, match=re.escape(message)):
@@ -193,23 +192,24 @@ class TestPlanRoomSearch:
             [("obj-a", "rake", "a1")],
             [("A", ["a1"])],
         )
-        plan = plan_room_search(env, room_dist({"A": 1.0}), "s", RAW_CFG)
+        plan = plan_room_search(env, room_dist({"A": 1.0}), "s")
         assert plan.sequence == ("a1",)
         assert plan.total_mass == pytest.approx(1.0)
 
     def test_higher_probability_room_first_at_equal_distance(self):
         env = two_room_env()
         dist = room_dist({"A": 0.9, "B": 0.1})
-        plan = plan_room_search(env, dist, "s", RAW_CFG)
+        plan = plan_room_search(env, dist, "s")
         # hand evaluation of the two room orderings under the plan cost
-        cost_ab = eq3_cost(env.distance, "s", ("a1", "b1"), {"a1": 0.9, "b1": 0.1}, 1.0, 1.0)
-        cost_ba = eq3_cost(env.distance, "s", ("b1", "a1"), {"b1": 0.1, "a1": 0.9}, 1.0, 1.0)
+        norm = env.max_pairwise_distance
+        cost_ab = eq3_cost(env.distance, "s", ("a1", "b1"), {"a1": 0.9, "b1": 0.1}, 1.0, norm)
+        cost_ba = eq3_cost(env.distance, "s", ("b1", "a1"), {"b1": 0.1, "a1": 0.9}, 1.0, norm)
         assert cost_ab < cost_ba
         assert plan.sequence == ("a1", "b1")
 
     def test_moves_to_next_room_after_exhausting_areas(self):
         env = two_room_env()
-        plan = plan_room_search(env, room_dist({"A": 0.6, "B": 0.4}), "s", RAW_CFG)
+        plan = plan_room_search(env, room_dist({"A": 0.6, "B": 0.4}), "s")
         assert plan.sequence == ("a1", "b1")
         assert plan.per_step[0].score == pytest.approx(0.6)
         assert plan.per_step[1].score == pytest.approx(0.4)
@@ -237,7 +237,7 @@ class TestPlanRoomSearch:
         )
         vectors = {"drill": (1.0, 0.0), "drill bit": (1.0, 0.1), "hose": (0.0, 1.0)}
         ranking = similarity_rank(TableEmbedder(vectors), ["hose", "drill bit"], "drill")
-        plan = plan_room_search(env, room_dist({"A": 1.0}), "s", RAW_CFG, ranking)
+        plan = plan_room_search(env, room_dist({"A": 1.0}), "s", ranking=ranking)
         # the more similar object's waypoint comes first even though it is farther
         assert plan.sequence == ("a2", "a1")
 
@@ -252,7 +252,7 @@ class TestPlanRoomSearch:
             [("A", ["w1", "w2"]), ("B", ["w2"]), ("C", ["w3"])],
         )
         plan = plan_room_search(env, room_dist({"A": 0.9, "B": 0.01, "C": 0.09}), "s",
-                                PlannerConfig(score_weight=score_weight, distance_normalizer="none"),
+                                PlannerConfig(score_weight=score_weight),
                                 overlap_ranking(env))
         assert plan.sequence == ("w2", "w1", "w3")
         assert [step.score for step in plan.per_step] == pytest.approx([0.46, 0.45, 0.09])
@@ -266,8 +266,8 @@ class TestPlanRoomSearch:
             [("o1", "hose", "w1"), ("o2", "drill bit", "w2")],
             [("A", ["w1", "w2"]), ("B", ["w2", "w5", "w6"])],
         )
-        plan = plan_room_search(env, room_dist({"A": 0.9, "B": 0.1}), "s", RAW_CFG,
-                                overlap_ranking(env))
+        plan = plan_room_search(env, room_dist({"A": 0.9, "B": 0.1}), "s",
+                                ranking=overlap_ranking(env))
         assert plan.sequence == ("w2", "w1")
         assert [step.score for step in plan.per_step] == pytest.approx([0.55, 0.45])
         assert plan.per_step[-1].cumulative == pytest.approx(1.0)
@@ -275,7 +275,7 @@ class TestPlanRoomSearch:
     def test_unknown_room_rejected(self):
         env = two_room_env()
         with pytest.raises(Exception, match="shed"):
-            plan_room_search(env, room_dist({"shed": 1.0}), "s", RAW_CFG)
+            plan_room_search(env, room_dist({"shed": 1.0}), "s")
 
 
 class TestHottestObject:
@@ -284,7 +284,7 @@ class TestHottestObject:
 
     def test_argmax_object(self):
         env = two_room_env()
-        plan = hottest_object_plan(env, self.dist({"rake": 0.7, "hose": 0.3}), "s", RAW_CFG)
+        plan = hottest_object_plan(env, self.dist({"rake": 0.7, "hose": 0.3}), "s")
         assert plan.sequence == ("a1",)
         assert plan.total_mass == pytest.approx(1.0)
 
@@ -294,7 +294,7 @@ class TestHottestObject:
             [("s", "w1", 1.0), ("w1", "w2", 1.0)],
             [("obj-b", "rake", "w2"), ("obj-a", "hose", "w1")],
         )
-        plan = hottest_object_plan(env, self.dist({"rake": 0.5, "hose": 0.5}), "s", RAW_CFG)
+        plan = hottest_object_plan(env, self.dist({"rake": 0.5, "hose": 0.5}), "s")
         assert plan.sequence == ("w1",)  # obj-a wins the tie
 
     def test_farm_target_drill_goes_to_tool_waypoint(self, farm_cfg):
@@ -318,13 +318,13 @@ class TestHottestWaypoint:
     def test_argmax_waypoint(self):
         env = two_room_env()
         scores = WaypointScores({"a1": 0.6, "b1": 0.4}, 1.0)
-        plan = hottest_waypoint_plan(env, scores, "s", RAW_CFG)
+        plan = hottest_waypoint_plan(env, scores, "s")
         assert plan.sequence == ("a1",)
 
     def test_all_equal_breaks_lexicographically(self):
         env = two_room_env()
         scores = WaypointScores({"a1": 0.5, "b1": 0.5}, 1.0)
-        assert hottest_waypoint_plan(env, scores, "s", RAW_CFG).sequence == ("a1",)
+        assert hottest_waypoint_plan(env, scores, "s").sequence == ("a1",)
 
     def test_sum_beats_single_maximum(self):
         # three weakly related objects on one waypoint outscore the single
@@ -338,5 +338,5 @@ class TestHottestWaypoint:
         dist = AffinityDistribution("drill", {"rake": 0.2, "hoe": 0.2, "tarp": 0.2, "bit": 0.4},
                                     {"rake": 0.2, "hoe": 0.2, "tarp": 0.2, "bit": 0.4})
         scores = waypoint_scores(env, dist)
-        assert hottest_waypoint_plan(env, scores, "s", RAW_CFG).sequence == ("wa",)
-        assert hottest_object_plan(env, dist, "s", RAW_CFG).sequence == ("wb",)
+        assert hottest_waypoint_plan(env, scores, "s").sequence == ("wa",)
+        assert hottest_object_plan(env, dist, "s").sequence == ("wb",)

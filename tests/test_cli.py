@@ -55,10 +55,19 @@ class TestScore:
         out = capsys.readouterr().out
         assert "target: screwdriver" in out
 
-    @pytest.mark.parametrize("flag, value", [("--lambda", "-5"), ("--normalizer", "none")])
-    def test_planner_flags_are_not_score_options(self, capsys, flag, value):
+    # score takes no planner flag, and no command takes --normalizer: legs are
+    # always over the map's maximum pairwise distance.
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param(["score"], "--lambda", "-5", id="--lambda--5"),
+        pytest.param(["score"], "--normalizer", "none", id="--normalizer-none"),
+        pytest.param(["plan"], "--normalizer", "none", id="plan--normalizer-none"),
+        pytest.param(["run", "--method", "losae"], "--normalizer", "none",
+                     id="run--normalizer-none"),
+        pytest.param(["bench"], "--normalizer", "none", id="bench--normalizer-none"),
+    ])
+    def test_planner_flags_are_not_score_options(self, capsys, command, flag, value):
         with pytest.raises(SystemExit) as exc:
-            run_cli("score", "--scenario", str(FARM_SCENARIO), flag, value)
+            run_cli(*command, "--scenario", str(FARM_SCENARIO), flag, value)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 

@@ -200,6 +200,10 @@ class TestLoadScenario:
                      "is negative", id="negative"),
         pytest.param(("room_scores",), "room_scores", "tool storage|drill", -3,
                      "is negative", id="room"),
+        pytest.param(("scorer", "table"), "scorer table", "screwdriver|drill", math.nan,
+                     "is not finite", id="nan"),
+        pytest.param(("room_scores",), "room_scores", "tool storage|drill", math.inf,
+                     "is not finite", id="room-inf"),
     ])
     def test_table_value_out_of_range_rejected_at_load(self, farm_doc, kind, path, section,
                                                         key, value, rule):
@@ -223,6 +227,19 @@ class TestLoadScenario:
         doc["rooms"].append({"name": name, "waypoints": ["hv1"]})
         with pytest.raises(ScenarioValidationError,
                            match=re.escape(f"'harvest station' and {name!r}")):
+            parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("name, waypoint", [("harvest station", "hv3"),
+                                                 ("tool storage", "ts2")])
+    def test_room_listing_a_waypoint_twice_rejected(self, farm_doc, name, waypoint):
+        # Otherwise the repeated waypoint pulls the centroid, and each of these
+        # would take over from its room's representative (hv2 and ts1).
+        doc = copy.deepcopy(farm_doc)
+        room = next(r for r in doc["rooms"] if r["name"] == name)
+        room["waypoints"] += [waypoint] * 4
+        with pytest.raises(ScenarioValidationError,
+                           match=re.escape(f"room {name!r} lists waypoint {waypoint!r} "
+                                           "more than once")):
             parse_scenario(json.dumps(doc))
 
     def test_bad_seed_rejected(self):

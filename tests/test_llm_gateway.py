@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 
@@ -128,6 +129,15 @@ class TestComplete:
             assert len(server.requests) == 1
 
 
+    def test_nan_logprob_rejected_by_the_scorer(self):
+        from semsearch.affinity import LLMScorer, ScorerError, score_distribution
+
+        with StubServer([("json", ok_completion(tokens=[("a", math.nan)]))]) as server:
+            scorer = LLMScorer(LLMGateway(make_config(server.base_url)))
+            with pytest.raises(ScorerError, match="non-finite raw score nan"):
+                score_distribution(scorer, ["screwdriver"], "drill")
+
+
 class TestCache:
     def test_second_identical_request_hits_cache(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache.jsonl")
@@ -226,7 +236,7 @@ class TestConcurrency:
         from concurrent.futures import ThreadPoolExecutor
 
         with StubServer(dynamic=True) as server:
-            gateway = LLMGateway(make_config(server.base_url, max_in_flight=4),
+            gateway = LLMGateway(make_config(server.base_url),
                                  cache=ResponseCache(tmp_path / "c.jsonl"))
             prompts = [f"prompt number {i}" for i in range(12)]
 

@@ -20,9 +20,6 @@ from semsearch.planner import (
 from conftest import make_env, random_connected_graph
 from oracles import best_permutation, eq3_cost
 
-RAW_CFG = PlannerConfig(distance_normalizer="none")
-
-
 def symmetric_pair_env():
     # start s, two targets one unit away from s and half a unit apart
     return make_env(
@@ -69,31 +66,31 @@ class TestPathCost:
     def test_hand_case(self):
         env = symmetric_pair_env()
         scores = WaypointScores({"v1": 0.6, "v2": 0.4}, 1.0)
-        cost = path_cost(["v1", "v2"], "s", scores, env, RAW_CFG)
+        cost = path_cost(["v1", "v2"], "s", scores, env)
         assert cost == 1.5 - (0.6 / 1 + 0.4 / 2)
         assert cost == pytest.approx(0.7, abs=1e-12)
 
     def test_hand_case_swapped_order_is_worse(self):
         env = symmetric_pair_env()
         scores = WaypointScores({"v1": 0.6, "v2": 0.4}, 1.0)
-        swapped = path_cost(["v2", "v1"], "s", scores, env, RAW_CFG)
+        swapped = path_cost(["v2", "v1"], "s", scores, env)
         assert swapped == 1.5 - (0.4 / 1 + 0.6 / 2)
         assert swapped == pytest.approx(0.8, abs=1e-12)
-        assert swapped > path_cost(["v1", "v2"], "s", scores, env, RAW_CFG)
+        assert swapped > path_cost(["v1", "v2"], "s", scores, env)
 
     def test_empty_sequence(self):
         env = symmetric_pair_env()
-        assert path_cost([], "s", WaypointScores({"v1": 1.0}, 1.0), env, RAW_CFG) == 0.0
+        assert path_cost([], "s", WaypointScores({"v1": 1.0}, 1.0), env) == 0.0
 
     def test_unknown_waypoint(self):
         env = symmetric_pair_env()
         with pytest.raises(Exception, match="v9"):
-            path_cost(["v9"], "s", WaypointScores({"v9": 1.0}, 1.0), env, RAW_CFG)
+            path_cost(["v9"], "s", WaypointScores({"v9": 1.0}, 1.0), env)
 
     def test_unscored_waypoint(self):
         env = symmetric_pair_env()
         with pytest.raises(PlannerError, match="v2"):
-            path_cost(["v2"], "s", WaypointScores({"v1": 1.0}, 1.0), env, RAW_CFG)
+            path_cost(["v2"], "s", WaypointScores({"v1": 1.0}, 1.0), env)
 
     def test_discount_moves_higher_scores_earlier(self):
         # equidistant triangle: distances cancel, only the 1/rank discount differs
@@ -102,19 +99,15 @@ class TestPathCost:
             [("s", "a", 1.0), ("s", "b", 1.0), ("a", "b", 1.0)],
         )
         scores = WaypointScores({"a": 0.9, "b": 0.1}, 1.0)
-        better = path_cost(["a", "b"], "s", scores, env, RAW_CFG)
-        worse = path_cost(["b", "a"], "s", scores, env, RAW_CFG)
+        better = path_cost(["a", "b"], "s", scores, env)
+        worse = path_cost(["b", "a"], "s", scores, env)
         assert better < worse
-
-
-def _normalizer(env, config):
-    return env.max_pairwise_distance if config.distance_normalizer == "max_pairwise" else 1.0
 
 
 def assert_matches_oracle(env, start, scores, config):
     oracle_cost, oracle_seq = best_permutation(env.distance, start, scores.positive(),
                                                scores.scores, config.score_weight,
-                                               _normalizer(env, config))
+                                               env.max_pairwise_distance)
     plan = plan_optimal(env, start, scores, config)
     assert plan.sequence == oracle_seq
     assert plan.cost == oracle_cost
@@ -125,7 +118,7 @@ class TestPlanExhaustive:
 
     def test_single_waypoint(self):
         env = symmetric_pair_env()
-        plan = plan_optimal(env, "s", WaypointScores({"v1": 1.0}, 1.0), RAW_CFG)
+        plan = plan_optimal(env, "s", WaypointScores({"v1": 1.0}, 1.0))
         assert plan.sequence == ("v1",)
         assert plan.mode == "dp"
 
@@ -136,8 +129,9 @@ class TestPlanExhaustive:
         )
         scores = WaypointScores({"near": 0.5, "far": 0.5}, 1.0)
         oracle_cost, oracle_seq = best_permutation(env.distance, "s", ["near", "far"],
-                                                   scores.scores, 1.0, 1.0)
-        plan = plan_optimal(env, "s", scores, RAW_CFG)
+                                                   scores.scores, 1.0,
+                                                   env.max_pairwise_distance)
+        plan = plan_optimal(env, "s", scores)
         assert plan.sequence == oracle_seq == ("near", "far")
         assert plan.cost == oracle_cost
 
@@ -146,7 +140,7 @@ class TestPlanExhaustive:
             [("s", 0, 0), ("a", 1, 0), ("b", 0, 1)],
             [("s", "a", 1.0), ("s", "b", 1.0), ("a", "b", 1.0)],
         )
-        plan = plan_optimal(env, "s", WaypointScores({"a": 0.5, "b": 0.5}, 1.0), RAW_CFG)
+        plan = plan_optimal(env, "s", WaypointScores({"a": 0.5, "b": 0.5}, 1.0))
         assert plan.sequence == ("a", "b")
 
     def test_beats_every_permutation(self):
@@ -154,7 +148,7 @@ class TestPlanExhaustive:
         for _ in range(10):
             env, start, scores, config = _random_instance(rng, max_scored=6)
             plan = plan_optimal(env, start, scores, config)
-            norm = _normalizer(env, config)
+            norm = env.max_pairwise_distance
             for perm in itertools.permutations(scores.positive()):
                 assert plan.cost <= eq3_cost(env.distance, start, perm, scores.scores,
                                              config.score_weight, norm) + 1e-12
@@ -164,8 +158,7 @@ class TestPlanExhaustive:
         # in real arithmetic while their partial sums round differently. The
         # fixed cases are ones where keeping only the rounded-cheaper partial
         # order per DP state returns a lexicographically larger sequence.
-        configs = [PlannerConfig(), RAW_CFG, PlannerConfig(score_weight=0.5),
-                   PlannerConfig(score_weight=2.0, distance_normalizer="none")]
+        configs = [PlannerConfig(), PlannerConfig(score_weight=0.5)]
         cases = [((4, 4), "g20", ["g00", "g33", "g01", "g32", "g02", "g11"]),
                  ((3, 4), "g21", ["g21", "g03", "g10", "g02", "g22", "g12", "g01"]),
                  ((4, 4), "g21", ["g23", "g21", "g00", "g12", "g22", "g32"])]
@@ -199,10 +192,7 @@ def _random_instance(rng, max_scored=7, max_nodes=12):
     total = sum(raws)
     scores = WaypointScores({w: r / total for w, r in zip(chosen, raws)}, 1.0)
     start = rng.choice(ids)
-    config = PlannerConfig(
-        score_weight=rng.choice([0.5, 1.0, 2.0]),
-        distance_normalizer=rng.choice(["max_pairwise", "none"]),
-    )
+    config = PlannerConfig(score_weight=rng.choice([0.5, 1.0, 2.0]))
     return env, start, scores, config
 
 
@@ -281,7 +271,7 @@ class TestPlanProperties:
         rng = random.Random(77)
         for _ in range(10):
             env, start, scores, _ = _random_instance(rng, max_scored=5)
-            config = PlannerConfig(distance_normalizer="max_pairwise")
+            config = PlannerConfig()
             plan = plan_optimal(env, start, scores, config)
             doubled = make_env(
                 [(w.id, w.x, w.y) for w in env.waypoints.values()],
@@ -300,4 +290,4 @@ class TestPlanProperties:
     def test_no_scored_waypoints_rejected(self):
         env = symmetric_pair_env()
         with pytest.raises(PlannerError):
-            plan_optimal(env, "s", WaypointScores({"v1": 0.0}, 0.0), RAW_CFG)
+            plan_optimal(env, "s", WaypointScores({"v1": 0.0}, 0.0))

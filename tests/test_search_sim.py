@@ -15,9 +15,6 @@ from semsearch.search_sim import (
 
 from conftest import make_env
 
-RAW_CFG = PlannerConfig(distance_normalizer="none")
-
-
 def four_stop_env():
     # start s, then a line of four object waypoints
     waypoints = [("s", 0, 0), ("w1", 1, 0), ("w2", 2, 0), ("w3", 3, 0), ("w4", 4, 0)]
@@ -29,7 +26,7 @@ def four_stop_env():
 
 def plan_for(env, start, step_scores, order=None, total=None):
     order = order or sorted(step_scores)
-    return make_plan(env, start, order, step_scores, RAW_CFG, "test", total_mass=total)
+    return make_plan(env, start, order, step_scores, PlannerConfig(), "test", total_mass=total)
 
 
 def perfect():
