@@ -46,22 +46,14 @@ def normalize_label(label: str) -> str:
     return label.strip().lower()
 
 
-@dataclass(frozen=True)
-class PromptPair:
-    system_text: str
-    user_text: str
-
-
-def build_prompt(seen_label: str, target_label: str) -> PromptPair:
-    """Substitute the two labels into the fixed prompt pair, nothing else."""
+def build_prompt(seen_label: str, target_label: str) -> str:
+    """The user prompt: the two labels substituted into the fixed template,
+    nothing else. The system prompt is always SYSTEM_PROMPT."""
     if not seen_label.strip():
         raise ValueError("seen_label is empty")
     if not target_label.strip():
         raise ValueError("target_label is empty")
-    return PromptPair(
-        system_text=SYSTEM_PROMPT,
-        user_text=USER_PROMPT_TEMPLATE.format(seen=seen_label, target=target_label),
-    )
+    return USER_PROMPT_TEMPLATE.format(seen=seen_label, target=target_label)
 
 
 def aggregate_logprobs(logprobs: TokenLogprobs) -> float:
@@ -175,10 +167,9 @@ class LLMScorer:
         self.answers: dict[tuple[str, str], str] = {}
 
     def score(self, seen_label: str, target_label: str) -> float:
-        prompt = build_prompt(seen_label, target_label)
         result = self.gateway.complete(CompletionRequest(
-            system_text=prompt.system_text,
-            user_text=prompt.user_text,
+            system_text=SYSTEM_PROMPT,
+            user_text=build_prompt(seen_label, target_label),
             model=self.gateway.config.model,
             max_tokens=64,
         ))

@@ -64,8 +64,8 @@ class TokenLogprobs:
 
     def __post_init__(self):
         for text, lp in self.tokens:
-            if lp > 0.0:
-                raise ValueError(f"logprob for token {text!r} is positive ({lp})")
+            if not lp <= 0.0:  # also rejects NaN, so a NaN reply is never cached
+                raise ValueError(f"logprob for token {text!r} is not <= 0 ({lp})")
 
     def values(self) -> tuple[float, ...]:
         return tuple(lp for _, lp in self.tokens)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .search_sim import NO_DETECTION, DetectionOutcome, EpisodeResult, Outcome
+from .search_sim import EpisodeResult, Outcome
 
 
 def success_rate(results: list[EpisodeResult]) -> float:
@@ -43,18 +43,12 @@ def spl(results: list[EpisodeResult]) -> float:
     return math.fsum(spl_term(r) for r in results) / len(results)
 
 
-def path_efficiency(result: EpisodeResult) -> float:
-    """Ideal over traversed length, capped at 1. Requires both lengths positive."""
+def path_efficiency(result: EpisodeResult) -> float | None:
+    """Ideal over traversed length, capped at 1; None unless both lengths are positive."""
     p_s, p_i = result.ideal_length, result.traversed_length
-    if p_s <= 0:
-        raise ValueError(f"path efficiency undefined for ideal length {p_s}")
-    if p_i <= 0:
-        raise ValueError(f"path efficiency undefined for traversed length {p_i}")
+    if p_s <= 0 or p_i <= 0:
+        return None
     return p_s / max(p_i, p_s)
-
-
-def pe_defined(result: EpisodeResult) -> bool:
-    return result.ideal_length > 0 and result.traversed_length > 0
 
 
 class EpisodeRow(NamedTuple):
@@ -72,7 +66,7 @@ class EpisodeRow(NamedTuple):
     pe: float | None = None  # None when excluded from PE aggregates
     error: str = ""
     trace: tuple = ()        # the walked prefix of the plan's PlanSteps
-    detection: DetectionOutcome = NO_DETECTION  # the last step's detection
+    detected: str | None = None  # the object whose detection ended the episode
 
 
 @dataclass(frozen=True)
@@ -94,8 +88,7 @@ def episode_row(trial: int, start: str, host_object: str, target_label: str, see
         return EpisodeRow(trial, start, host_object, target_label, seed, error=error)
     return EpisodeRow(trial, start, host_object, target_label, seed, result.outcome.value,
                       result.traversed_length, result.ideal_length, spl_term(result),
-                      path_efficiency(result) if pe_defined(result) else None,
-                      trace=result.steps, detection=result.detection)
+                      path_efficiency(result), trace=result.steps, detected=result.detected)
 
 
 def build_report(method: str, rows: list[EpisodeRow]) -> BatchReport:
@@ -130,6 +123,11 @@ EPISODE_COLUMNS = ["method", "trial", "start", "host_object", "target_label", "s
 
 SUMMARY_COLUMNS = ["method", "episodes", "sr", "spl", "pe_mean", "pe_std", "pe_excluded"]
 
+# steps.csv's detection column at a trial's last step; every other outcome,
+# and every earlier step, reads "none".
+DETECTION_KINDS = {Outcome.FOUND.value: "true_positive",
+                   Outcome.FOUND_FALSE.value: "false_positive"}
+
 
 def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -161,11 +159,12 @@ def _step_rows(reports: list[BatchReport]):
         method = report.method
         for row in report.rows:
             trial, last = row.trial, len(row.trace) - 1
+            # Only the last step can have triggered: a detection ends the episode.
+            ending = DETECTION_KINDS.get(row.outcome, "none"), row.detected or ""
             for index, step in enumerate(row.trace):
-                # Only the last step can have triggered: a detection ends the episode.
-                detection = row.detection if index == last else NO_DETECTION
+                kind, instance_id = ending if index == last else ("none", "")
                 yield (method, trial, index, step.waypoint, f"{step.leg_meters:.10g}",
-                       f"{step.cumulative:.10g}", detection.kind, detection.instance_id or "")
+                       f"{step.cumulative:.10g}", kind, instance_id)
 
 
 def write_steps_csv(reports: list[BatchReport], path) -> None:

@@ -2,7 +2,7 @@
 
 The plan already carries every leg in meters and the running meters and
 probability mass, so an episode is the walked prefix of its plan plus the
-detection that ended it. Perception is parametric rather than visual: a
+object whose detection ended it. Perception is parametric rather than visual: a
 true-positive rate for spotting the real target and a false-positive rate per
 inspected non-target object. Episodes are fully deterministic given the seed.
 """
@@ -51,44 +51,29 @@ class SimulationParams:
 
 
 @dataclass(frozen=True)
-class DetectionOutcome:
-    kind: str  # "true_positive" | "false_positive" | "none"
-    instance_id: str | None = None
-
-    TRUE_POSITIVE = "true_positive"
-    FALSE_POSITIVE = "false_positive"
-    NONE = "none"
-
-
-NO_DETECTION = DetectionOutcome(DetectionOutcome.NONE)
-
-
-@dataclass(frozen=True)
 class EpisodeResult:
     outcome: Outcome
     traversed_length: float
     ideal_length: float
     steps: tuple["PlanStep", ...]  # the walked prefix of plan.per_step
-    seed: int
-    # The last step's detection; only the last inspected step can trigger,
-    # because a true or false positive ends the episode.
-    detection: DetectionOutcome = NO_DETECTION
+    # The object detected at the last step, which ended the episode; None
+    # unless the outcome is FOUND or FOUND_FALSE.
+    detected: str | None = None
 
 
 def inspect(objects: Iterable["SeenObject"], truth: "GroundTruth",
-            perception: PerceptionModel, rng: random.Random) -> DetectionOutcome:
-    """Draw one detection per object in the given order; first trigger wins.
+            perception: PerceptionModel, rng: random.Random) -> str | None:
+    """Draw one detection per object in the given order; return the
+    instance_id of the first that triggers, or None.
 
     The order must be instance_id order, as `Environment.objects_at` returns it.
     """
     for obj in objects:
-        if obj.instance_id == truth.host_object:
-            if rng.random() < perception.true_positive_rate:
-                return DetectionOutcome(DetectionOutcome.TRUE_POSITIVE, obj.instance_id)
-        else:
-            if rng.random() < perception.false_positive_rate:
-                return DetectionOutcome(DetectionOutcome.FALSE_POSITIVE, obj.instance_id)
-    return NO_DETECTION
+        rate = (perception.true_positive_rate if obj.instance_id == truth.host_object
+                else perception.false_positive_rate)
+        if rng.random() < rate:
+            return obj.instance_id
+    return None
 
 
 def run_episode(env: "Environment", plan: "SearchPlan", truth: "GroundTruth",
@@ -98,8 +83,7 @@ def run_episode(env: "Environment", plan: "SearchPlan", truth: "GroundTruth",
     The lost check runs after each waypoint's inspections, so the waypoint at
     which the threshold is crossed is still inspected and nothing beyond it is.
     """
-    seed_used = seed if seed is not None else params.seed
-    rng = random.Random(seed_used)
+    rng = random.Random(seed if seed is not None else params.seed)
 
     host = env.objects.get(truth.host_object)
     if host is None:
@@ -109,16 +93,13 @@ def run_episode(env: "Environment", plan: "SearchPlan", truth: "GroundTruth",
 
     lost_mass = LOST_THRESHOLD * plan.total_mass
     stop = 0
-    detection = NO_DETECTION
+    detected = None
     outcome = Outcome.EXHAUSTED
 
     for stop, step in enumerate(plan.per_step, 1):
-        detection = inspect(env.objects_at(step.waypoint), truth, params.perception, rng)
-        if detection.kind == DetectionOutcome.TRUE_POSITIVE:
-            outcome = Outcome.FOUND
-            break
-        if detection.kind == DetectionOutcome.FALSE_POSITIVE:
-            outcome = Outcome.FOUND_FALSE
+        detected = inspect(env.objects_at(step.waypoint), truth, params.perception, rng)
+        if detected is not None:
+            outcome = Outcome.FOUND if detected == truth.host_object else Outcome.FOUND_FALSE
             break
         if step.cumulative >= lost_mass:
             outcome = Outcome.LOST
@@ -130,6 +111,5 @@ def run_episode(env: "Environment", plan: "SearchPlan", truth: "GroundTruth",
         traversed_length=steps[-1].traversed if steps else 0.0,
         ideal_length=ideal,
         steps=steps,
-        seed=seed_used,
-        detection=detection,
+        detected=detected,
     )

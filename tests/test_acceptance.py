@@ -150,7 +150,7 @@ def test_criterion_04_cost_hand_cases():
 def test_criterion_05_metric_hand_cases():
     def episode(outcome, traversed, ideal):
         return EpisodeResult(outcome=outcome, traversed_length=traversed,
-                             ideal_length=ideal, steps=tuple(), seed=0)
+                             ideal_length=ideal, steps=tuple())
 
     assert spl([episode(Outcome.FOUND, 10.0, 10.0)]) == 1.0
     assert spl([episode(Outcome.FOUND, 10.0, 10.0),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semsearch.affinity import (
+    SYSTEM_PROMPT,
     AffinityDistribution,
     MissingAffinityError,
     ScorerError,
@@ -27,18 +28,17 @@ def tl(*values):
 
 class TestBuildPrompt:
     def test_substitution(self):
-        pair = build_prompt("screwdriver", "drill")
-        assert pair.user_text == "I see the following: screwdriver. Where should I go to find drill?"
-        assert pair.system_text.startswith("You are an expert object location reasoning robot.")
-        assert pair.system_text.endswith("must output a seen object to go to.")
+        assert build_prompt("screwdriver", "drill") == (
+            "I see the following: screwdriver. Where should I go to find drill?")
+        assert SYSTEM_PROMPT.startswith("You are an expert object location reasoning robot.")
+        assert SYSTEM_PROMPT.endswith("must output a seen object to go to.")
 
     def test_identical_labels_allowed(self):
-        pair = build_prompt("x", "x")
-        assert pair.user_text == "I see the following: x. Where should I go to find x?"
+        assert build_prompt("x", "x") == "I see the following: x. Where should I go to find x?"
 
     def test_multi_word_labels_unmodified(self):
-        pair = build_prompt("water tap", "watering can")
-        assert pair.user_text == "I see the following: water tap. Where should I go to find watering can?"
+        assert build_prompt("water tap", "watering can") == (
+            "I see the following: water tap. Where should I go to find watering can?")
 
     def test_empty_label_rejected(self):
         with pytest.raises(ValueError):

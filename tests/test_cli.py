@@ -382,3 +382,81 @@ class TestPinnedOutput:
         scenario = tmp_path / "noisy.json"
         scenario.write_text(json.dumps(doc))
         assert self.bench_digests(scenario, tmp_path / "out") == NOISY_DIGESTS
+
+
+class TestBenchCsvCrossChecks:
+    """The four CSVs of one noisy bench agree with each other: every figure a
+    reader can recompute from another file is recomputed here."""
+
+    @pytest.fixture(scope="class")
+    def bench(self, tmp_path_factory, farm_doc):
+        tmp = tmp_path_factory.mktemp("noisy-bench")
+        doc = {**farm_doc, "perception": {"true_positive_rate": 0.8,
+                                          "false_positive_rate": 0.05}}
+        scenario = tmp / "noisy.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp / "out"
+        assert run_cli("bench", "--scenario", str(scenario), "--trials", "200",
+                       "--seed", "5", "--out", str(out)) == 0
+        steps = {}
+        for row in read_csv(out / "steps.csv"):
+            steps.setdefault((row["method"], row["trial"]), []).append(row)
+        return read_csv(out / "episodes.csv"), steps, read_csv(out / "summary.csv"), doc
+
+    def test_earlier_steps_detect_nothing(self, bench):
+        _, steps, _, _ = bench
+        earlier = [row for trace in steps.values() for row in trace[:-1]]
+        assert earlier
+        assert all((row["detection"], row["instance_id"]) == ("none", "") for row in earlier)
+
+    def test_last_step_detection_follows_outcome(self, bench):
+        episodes, steps, _, doc = bench
+        waypoint_of = {o["instance_id"]: o["waypoint"] for o in doc["objects"]}
+        seen = set()
+        for ep in episodes:
+            last = steps[(ep["method"], ep["trial"])][-1]
+            kind, instance_id = last["detection"], last["instance_id"]
+            seen.add(ep["outcome"])
+            if ep["outcome"] == "found":
+                assert (kind, instance_id) == ("true_positive", ep["host_object"])
+            elif ep["outcome"] == "found_false":
+                assert kind == "false_positive"
+                assert instance_id != ep["host_object"]
+                assert waypoint_of[instance_id] == last["waypoint"]
+            else:
+                assert (kind, instance_id) == ("none", "")
+        assert {"found", "found_false", "lost"} <= seen
+
+    def test_traversed_is_the_sum_of_legs(self, bench):
+        episodes, steps, _, _ = bench
+        for ep in episodes:
+            legs = [float(s["leg_m"]) for s in steps.get((ep["method"], ep["trial"]), [])]
+            assert math.isclose(float(ep["traversed_m"]), math.fsum(legs), rel_tol=1e-9)
+
+    def test_consumed_and_steps_match_the_trace(self, bench):
+        episodes, steps, _, _ = bench
+        for ep in episodes:
+            trace = steps.get((ep["method"], ep["trial"]), [])
+            assert int(ep["steps"]) == len(trace)
+            assert ep["consumed"] == (trace[-1]["consumed"] if trace else "0")
+            assert [int(s["step"]) for s in trace] == list(range(len(trace)))
+
+    def test_summary_recomputed_from_episodes(self, bench):
+        episodes, _, summary, _ = bench
+        assert [s["method"] for s in summary] == list(METHODS)
+        for s in summary:
+            rows = [ep for ep in episodes if ep["method"] == s["method"]]
+            found, spl_terms, pes = 0, [], []
+            for ep in rows:
+                success = ep["outcome"] == "found"
+                ideal, traversed = float(ep["ideal_m"]), float(ep["traversed_m"])
+                found += success
+                spl_terms.append(success * (ideal / max(traversed, ideal) if ideal > 0 else 1.0))
+                if ideal > 0 and traversed > 0:
+                    pes.append(ideal / max(traversed, ideal))
+                assert int(ep["pe_included"]) == (ideal > 0 and traversed > 0)
+            assert int(s["episodes"]) == len(rows) == 200
+            assert math.isclose(float(s["sr"]), found / len(rows), rel_tol=1e-9)
+            assert math.isclose(float(s["spl"]), math.fsum(spl_terms) / len(rows), rel_tol=1e-9)
+            assert math.isclose(float(s["pe_mean"]), math.fsum(pes) / len(pes), rel_tol=1e-9)
+            assert int(s["pe_excluded"]) == len(rows) - len(pes)

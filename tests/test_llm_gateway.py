@@ -128,17 +128,29 @@ class TestComplete:
                 gateway.complete(req())
             assert len(server.requests) == 1
 
-
     def test_nan_logprob_rejected_by_the_scorer(self):
         from semsearch.affinity import LLMScorer, ScorerError, score_distribution
 
         with StubServer([("json", ok_completion(tokens=[("a", math.nan)]))]) as server:
             scorer = LLMScorer(LLMGateway(make_config(server.base_url)))
-            with pytest.raises(ScorerError, match="non-finite raw score nan"):
+            with pytest.raises(ScorerError, match=r"bad token logprob entry: .* is not <= 0 \(nan\)"):
                 score_distribution(scorer, ["screwdriver"], "drill")
 
 
 class TestCache:
+    def test_nan_logprob_reply_not_cached(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        script = [("json", ok_completion(tokens=[("a", math.nan)])), ("json", ok_completion())]
+        with StubServer(script) as server:
+            gateway = LLMGateway(make_config(server.base_url), cache=ResponseCache(path))
+            with pytest.raises(MalformedResponseError, match=r"is not <= 0 \(nan\)"):
+                gateway.complete(req())
+            result = gateway.complete(req())
+            assert len(server.requests) == 2
+        assert result.answer_text == "the shelf"
+        assert result.token_logprobs == TokenLogprobs((("the", -0.1), (" shelf", -0.7)))
+        assert len(path.read_text().splitlines()) == 1
+
     def test_second_identical_request_hits_cache(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache.jsonl")
         with StubServer() as server:
