@@ -253,8 +253,15 @@ class LLMGateway:
         if self.cache is not None:
             hit = self.cache.lookup(key)
             if hit is not None:
-                return replace(_payload_to_result(hit),
-                               latency_ms=(time.monotonic() - started) * 1000.0)
+                # An entry this version rejects (say, a NaN logprob written by
+                # an older one) is a miss: the reply fetched below is appended
+                # and wins over it on the next load.
+                try:
+                    result = _payload_to_result(hit)
+                except (KeyError, TypeError, ValueError):
+                    pass
+                else:
+                    return replace(result, latency_ms=(time.monotonic() - started) * 1000.0)
         if not self.config.api_key:
             raise MissingCredentialError(
                 "no API key configured; set " + " or ".join(ENV_API_KEY)

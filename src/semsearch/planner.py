@@ -13,15 +13,19 @@ collapse the objective into pure distance.
 The discount depends only on how many waypoints were visited before, so the
 cost still to pay from a (visited set, last waypoint) state depends neither on
 the order the set was visited in nor on the start. A backward Held-Karp table
-of those costs is built once per scored set and shared by every start; a plan
-is the best first step plus a walk down the table that settles rounding-level
-ties the way enumerating every permutation would.
+of those costs is built once per scored set and shared by every start; built
+tables are kept across calls, least recently used first out, while their
+states sum to at most TABLE_STATE_BUDGET. A plan is the best first step plus a
+walk down the table that settles rounding-level ties the way enumerating every
+permutation would.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 
 from .affinity import AffinityDistribution, split_across_instances
@@ -30,6 +34,10 @@ from .affinity import AffinityDistribution, split_across_instances
 # scored waypoints about 0.8-1.3 s and 30 MB on a 2-core x86 VM with CPython
 # 3.11, and every further waypoint more than doubles both.
 MAX_SCORED_WAYPOINTS = 16
+
+# Kept tables hold at most this many states in total (sum of 2^k * k): one
+# table at the cap above (about 30 MB) fits alone, or 21 at k = 12.
+TABLE_STATE_BUDGET = 1 << 20
 
 
 class PlannerError(Exception):
@@ -152,15 +160,63 @@ def make_plan(env, start: str, sequence, step_scores: dict[str, float],
     )
 
 
-@functools.lru_cache(maxsize=1)
+TableCacheInfo = namedtuple("TableCacheInfo", "hits misses tables states")
+
+
+class _TableCache:
+    """Memo of built tables, evicting least recently used ones while the held
+    tables' states sum to more than TABLE_STATE_BUDGET.
+
+    One lock guards lookup, insert and eviction but not the build, so two
+    threads asking for one missing table may both build it; the tables are
+    equal, and the first one inserted is kept.
+    """
+
+    def __init__(self, build):
+        functools.update_wrapper(self, build)
+        self._build = build
+        self._lock = threading.Lock()
+        self._tables: OrderedDict[tuple, list[list[float]]] = OrderedDict()
+        self._states = self._hits = self._misses = 0
+
+    def __call__(self, leg, score, weight):
+        key = (leg, score, weight)
+        with self._lock:
+            table = self._tables.get(key)
+            if table is not None:
+                self._tables.move_to_end(key)
+                self._hits += 1
+                return table
+            self._misses += 1
+        table = self._build(leg, score, weight)
+        with self._lock:
+            if key not in self._tables:
+                self._tables[key] = table
+                self._states += len(table) * len(table[0])
+                while self._states > TABLE_STATE_BUDGET:
+                    _, old = self._tables.popitem(last=False)
+                    self._states -= len(old) * len(old[0])
+        return table
+
+    def cache_info(self) -> TableCacheInfo:
+        with self._lock:
+            return TableCacheInfo(self._hits, self._misses, len(self._tables), self._states)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self._states = self._hits = self._misses = 0
+
+
+@_TableCache
 def _cost_to_go(leg: tuple[tuple[float, ...], ...], score: tuple[float, ...],
                 weight: float) -> list[list[float]]:
     """Backward Held-Karp table over (visited set, last waypoint) states.
 
     ctg[mask][j] is the least cost of visiting every waypoint outside `mask`
     after visiting exactly `mask` and ending at j. It reads nothing of the
-    start, so the last table built is kept and serves every start over the
-    same normalized legs, scores and weight.
+    start, so a built table is kept, within TABLE_STATE_BUDGET, and serves
+    every later start over the same normalized legs, scores and weight.
     """
     n = len(score)
     full = (1 << n) - 1
@@ -247,6 +303,9 @@ def plan_optimal(env, start: str, scores: WaypointScores,
             order.pop()
 
     walk(0, start_leg, 0, 0.0, 0.0)
+    # walk's closure holds walk itself; dropping it ends that cycle, so the
+    # walk's state and the table are freed now rather than by the cyclic GC.
+    del walk
     _, best = min(finished)
     return make_plan(env, start, tuple(candidates[i] for i in best), scores.scores, config,
                      "dp", total_mass=scores.total_mass)

@@ -151,6 +151,23 @@ class TestCache:
         assert result.token_logprobs == TokenLogprobs((("the", -0.1), (" shelf", -0.7)))
         assert len(path.read_text().splitlines()) == 1
 
+    def test_unparseable_entry_is_a_miss(self, tmp_path):
+        # A NaN-logprob entry, as older versions stored, is asked again, and
+        # the appended good reply is the one a later load returns.
+        path = tmp_path / "cache.jsonl"
+        request = req()
+        key = request_digest(request.model, 0.0, request.system_text, request.user_text)
+        ResponseCache(path).store(key, {"answer_text": "the shelf", "tokens": [["a", math.nan]],
+                                        "model_echo": "m", "latency_ms": 1.0})
+        with StubServer() as server:
+            gateway = LLMGateway(make_config(server.base_url), cache=ResponseCache(path))
+            result = gateway.complete(request)
+            assert len(server.requests) == 1
+        good = TokenLogprobs((("the", -0.1), (" shelf", -0.7)))
+        assert result.answer_text == "the shelf"
+        assert result.token_logprobs == good
+        assert ResponseCache(path).lookup(key)["tokens"] == [list(t) for t in good.tokens]
+
     def test_second_identical_request_hits_cache(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache.jsonl")
         with StubServer() as server:

@@ -1,11 +1,17 @@
+import gc
 import itertools
 import math
 import random
+import sys
 import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from semsearch.affinity import AffinityDistribution, ScorerError
+from semsearch import cli, planner
+from semsearch.affinity import AffinityDistribution, ScorerError, TableScorer
+from semsearch.baselines import TableRoomScorer
 from semsearch.planner import (
     MAX_SCORED_WAYPOINTS,
     PlannerConfig,
@@ -17,7 +23,7 @@ from semsearch.planner import (
     waypoint_scores,
 )
 
-from conftest import make_env, random_connected_graph
+from conftest import FARM_SCENARIO, make_env, random_connected_graph
 from oracles import best_permutation, eq3_cost
 
 def symmetric_pair_env():
@@ -264,6 +270,108 @@ class TestPlanBounded:
         with pytest.raises(PlannerError, match=f"{n} scored waypoints .* cap of "
                                                f"{MAX_SCORED_WAYPOINTS}"):
             plan_optimal(env, "w00", scores)
+
+
+class TestKeptTables:
+    """_cost_to_go keeps built tables across calls within TABLE_STATE_BUDGET."""
+
+    def line_env_and_scores(self):
+        env = make_env([("s", 0, 0), ("a", 1, 0), ("b", 2, 0), ("c", 3, 0)],
+                       [("s", "a", 1.0), ("a", "b", 1.0), ("b", "c", 1.0)])
+        sets = {name: WaypointScores(dict(zip("abc", ps)), 1.0)
+                for name, ps in (("A", (0.5, 0.3, 0.2)), ("B", (0.2, 0.3, 0.5)),
+                                 ("C", (0.3, 0.5, 0.2)))}
+        return env, sets
+
+    def test_alternating_scored_sets_keep_both_tables(self):
+        env, sets = self.line_env_and_scores()
+        _cost_to_go.cache_clear()
+        for name in "ABAB":
+            plan_optimal(env, "s", sets[name])
+        info = _cost_to_go.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_least_recently_used_table_is_evicted_by_states(self, monkeypatch):
+        env, sets = self.line_env_and_scores()
+        # Each table over 3 scored waypoints holds 2^3 * 3 = 24 states.
+        monkeypatch.setattr(planner, "TABLE_STATE_BUDGET", 48)
+        _cost_to_go.cache_clear()
+        for name in "ABAC":
+            plan_optimal(env, "s", sets[name])
+        info = _cost_to_go.cache_info()
+        assert (info.misses, info.hits, info.tables, info.states) == (3, 1, 2, 48)
+        plan_optimal(env, "s", sets["A"])
+        assert _cost_to_go.cache_info().misses == 3
+        plan_optimal(env, "s", sets["B"])
+        assert _cost_to_go.cache_info().misses == 4
+
+    def test_concurrent_plans_share_tables_without_lost_counts(self):
+        env, sets = self.line_env_and_scores()
+        names = "ABC" * 100
+        expected = {name: plan_optimal(env, "s", sets[name]) for name in "ABC"}
+        _cost_to_go.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                plans = list(pool.map(lambda name: plan_optimal(env, "s", sets[name]),
+                                      names, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert plans == [expected[name] for name in names]
+        info = _cost_to_go.cache_info()
+        assert info.hits + info.misses == len(names)
+        assert (info.tables, info.states) == (3, 3 * 24)
+
+    def test_room_search_on_the_farm_reuses_tables(self, farm_cfg):
+        _cost_to_go.cache_clear()
+        cli.run_batch(farm_cfg, "room_search", 200, 5,
+                      room_scorer=TableRoomScorer(farm_cfg.room_scores))
+        assert _cost_to_go.cache_info().misses == 7
+
+    def test_output_does_not_depend_on_cache_history(self, farm_cfg, tmp_path):
+        def bench_bytes(out):
+            assert cli.main(["bench", "--scenario", str(FARM_SCENARIO), "--trials", "200",
+                             "--seed", "5", "--out", str(out)]) == 0
+            return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+        _cost_to_go.cache_clear()
+        cold = bench_bytes(tmp_path / "cold")
+        _cost_to_go.cache_clear()
+        for target in ("screwdriver", "water tap"):
+            cli.run_bench(farm_cfg, list(cli.METHODS), 50, 7, target=target,
+                          affinity_scorer=TableScorer(farm_cfg.scorer.table),
+                          room_scorer=TableRoomScorer(farm_cfg.room_scores))
+        assert bench_bytes(tmp_path / "warm") == cold
+        misses = _cost_to_go.cache_info().misses
+        assert bench_bytes(tmp_path / "hot") == cold
+        assert _cost_to_go.cache_info().misses == misses
+
+    def test_plan_frees_its_working_state_on_return(self):
+        # With the cyclic GC off, whatever the walk leaves in a reference
+        # cycle (its kept prefixes, the table) stays allocated: 1.8 MB here.
+        # The 0.5 MB bound leaves room for the interpreter's free lists, which
+        # keep up to 2000 tuples of each size (about 0.13 MB after this plan).
+        ids = [f"leaf{i:02d}" for i in range(10)]
+        env = make_env([("hub", 0, 0)] + [(w, i, 1) for i, w in enumerate(ids)],
+                       [("hub", w, 1.0) for w in ids])
+        scores = WaypointScores({w: 1 / 10 for w in ids}, 1.0)
+        _cost_to_go.cache_clear()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = plan_optimal(env, "hub", scores)
+            _cost_to_go.cache_clear()
+            left = tracemalloc.get_traced_memory()[0] - before
+            unreachable = gc.collect()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert plan.sequence == tuple(ids)
+        assert left < 0.5 * 2**20
+        assert unreachable == 0
 
 
 class TestPlanProperties:
