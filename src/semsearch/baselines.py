@@ -11,9 +11,7 @@ All three produce SearchPlan objects the episode simulator runs unchanged.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
 import re
 from typing import Protocol
 
@@ -122,13 +120,11 @@ def room_scores(scorer: RoomScorer, rooms: list[str], target_label: str) -> Affi
 
 # -- embedding similarity ---------------------------------------------------------
 
-class Embedder(Protocol):
-    def embed(self, text: str) -> tuple[float, ...]: ...
-
-
 class TableEmbedder:
     """Finite, nonzero vectors of one length, keyed by normalized label in `vectors`;
-    two labels equal after normalize_label are an error."""
+    two labels equal after normalize_label are an error. A vector whose squared
+    norm underflows to 0 or overflows to infinity is rejected, so `cosine` of
+    any two declared vectors is a finite number."""
 
     def __init__(self, vectors: dict[str, tuple[float, ...]]):
         self.vectors: dict[str, tuple[float, ...]] = {}
@@ -144,6 +140,9 @@ class TableEmbedder:
                 raise EmbeddingError(f"embedding vector for {label!r} is empty or all zero")
             if not all(map(math.isfinite, vec)):
                 raise EmbeddingError(f"embedding vector for {label!r} has a non-finite component")
+            if not 0.0 < math.fsum(x * x for x in vec) < math.inf:
+                raise EmbeddingError(f"embedding vector for {label!r} has a norm too small "
+                                     "or too large to compute")
             first = first or (label, len(vec))
             if len(vec) != first[1]:
                 raise EmbeddingError(f"embedding vector for {label!r} has length {len(vec)}, "
@@ -158,23 +157,6 @@ class TableEmbedder:
         return self.vectors[key]
 
 
-class HashEmbedder:
-    """Deterministic pseudo-embeddings: a unit vector seeded by the label's digest.
-
-    Carries no real semantics; identical labels map to identical vectors, which
-    is enough for deterministic tests and for exercising the ranking plumbing.
-    """
-
-    DIM = 32
-
-    def embed(self, text: str) -> tuple[float, ...]:
-        digest = hashlib.sha256(normalize_label(text).encode("utf-8")).digest()
-        rng = random.Random(int.from_bytes(digest[:8], "big"))
-        vec = [rng.gauss(0.0, 1.0) for _ in range(self.DIM)]
-        norm = math.sqrt(math.fsum(x * x for x in vec))
-        return tuple(x / norm for x in vec)
-
-
 def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     if len(a) != len(b):
         raise EmbeddingError(f"vector length mismatch: {len(a)} vs {len(b)}")
@@ -186,22 +168,18 @@ def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     return dot / (na * nb)
 
 
-def similarity_rank(embedder: Embedder, labels: list[str], target_label: str) -> dict[str, float]:
+def similarity_rank(embedder: TableEmbedder, labels: list[str],
+                    target_label: str) -> dict[str, float]:
     """Cosine similarity of each normalized label to the target, in rank order:
     highest first, ties lexicographic."""
     if not labels:
         raise ValueError("labels is empty")
-    try:
-        target_vec = embedder.embed(target_label)
-        sims = {}
-        for label in labels:
-            key = normalize_label(label)
-            if key not in sims:
-                sims[key] = cosine(embedder.embed(label), target_vec)
-    except EmbeddingError:
-        raise
-    except Exception as exc:
-        raise EmbeddingError(f"embedding provider failed: {exc}") from exc
+    target_vec = embedder.embed(target_label)
+    sims = {}
+    for label in labels:
+        key = normalize_label(label)
+        if key not in sims:
+            sims[key] = cosine(embedder.embed(label), target_vec)
     return dict(sorted(sims.items(), key=lambda item: (-item[1], item[0])))
 
 
@@ -216,21 +194,25 @@ def _room_representative(env, room) -> str:
 
 
 def _room_visit_order(env, room, ranking: dict[str, float]) -> list[str]:
-    """Object-bearing waypoints of the room, best hosted similarity first."""
+    """Object-bearing waypoints of the room, best hosted similarity first;
+    `ranking` holds every hosted label."""
     candidates = []
     for wid in sorted(room.waypoints):
         hosted = env.objects_at(wid)
         if not hosted:
             continue
-        best = max(ranking.get(normalize_label(o.label), -1.1) for o in hosted)
+        best = max(ranking[normalize_label(o.label)] for o in hosted)
         candidates.append((-best, wid))
     return [wid for _, wid in sorted(candidates)]
 
 
 def plan_room_search(env, room_dist: AffinityDistribution, start: str,
-                     config: PlannerConfig | None = None,
-                     ranking: dict[str, float] | None = None) -> SearchPlan:
+                     config: PlannerConfig | None = None, *,
+                     ranking: dict[str, float]) -> SearchPlan:
     """Visit rooms in cost order, sweeping each room by similarity.
+
+    `ranking` maps every normalized label the environment hosts to its
+    similarity to the target, as `similarity_rank` returns it.
 
     After a room is exhausted it is removed from the belief and the remaining
     room probabilities are renormalized before choosing the next room, so each
@@ -249,7 +231,6 @@ def plan_room_search(env, room_dist: AffinityDistribution, start: str,
     for room in room_dist.entries:
         if room not in env.rooms:
             raise BaselineError(f"room {room!r} is not declared in the environment")
-    ranking = ranking or {}
 
     reps = {room: _room_representative(env, env.rooms[room]) for room in room_dist.entries}
     remaining = dict(room_dist.entries)

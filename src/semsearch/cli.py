@@ -52,9 +52,11 @@ def compute_artifacts(cfg: ScenarioConfig, methods, target: str, affinity_scorer
     """Score once per run and return each method's planner: (start, config) -> plan.
 
     The scores are independent of the sampled start and host, so one set
-    serves every trial. An unknown or repeated method is an error before any
-    scoring. Room Search ranks labels with `embedder`, or `HashEmbedder` when
-    it is None.
+    serves every trial. Every method's inputs are checked before any scorer
+    is asked: an unknown or repeated method, a missing affinity scorer, and
+    for Room Search missing rooms, room scorer, `embedder`, or a vector for the
+    target or a hosted label are errors. Room Search ranks labels only by the
+    vectors `embedder` declares.
     """
     for i, method in enumerate(methods):
         if method not in METHODS:
@@ -62,10 +64,18 @@ def compute_artifacts(cfg: ScenarioConfig, methods, target: str, affinity_scorer
         if method in methods[:i]:
             raise ValueError(f"method {method!r} is listed more than once")
     env = cfg.env
+    if AFFINITY_METHODS.intersection(methods) and affinity_scorer is None:
+        raise ValueError("an affinity scorer is required for this method")
+    if "room_search" in methods:
+        if not env.rooms:
+            raise ValueError("scenario declares no rooms; room_search needs them")
+        if room_scorer is None:
+            raise ValueError("a room scorer is required for room_search")
+        if embedder is None:
+            raise ValueError("scenario declares no embeddings; room_search needs them")
+        ranking = baselines.similarity_rank(embedder, env.labels(), target)
     planners: dict[str, Planner] = {}
     if AFFINITY_METHODS.intersection(methods):
-        if affinity_scorer is None:
-            raise ValueError("an affinity scorer is required for this method")
         distribution = score_distribution(affinity_scorer, env.labels(), target)
         wscores = waypoint_scores(env, distribution)
         planners["losae"] = lambda start, config: plan_optimal(env, start, wscores, config)
@@ -74,15 +84,9 @@ def compute_artifacts(cfg: ScenarioConfig, methods, target: str, affinity_scorer
         planners["hottest_waypoint"] = lambda start, config: baselines.hottest_waypoint_plan(
             env, wscores, start, config)
     if "room_search" in methods:
-        if not env.rooms:
-            raise ValueError("scenario declares no rooms; room_search needs them")
-        if room_scorer is None:
-            raise ValueError("a room scorer is required for room_search")
         room_dist = baselines.room_scores(room_scorer, sorted(env.rooms), target)
-        ranking = baselines.similarity_rank(embedder or baselines.HashEmbedder(),
-                                            env.labels(), target)
         planners["room_search"] = lambda start, config: baselines.plan_room_search(
-            env, room_dist, start, config, ranking)
+            env, room_dist, start, config, ranking=ranking)
     return planners
 
 

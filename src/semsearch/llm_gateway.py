@@ -125,10 +125,11 @@ def _payload_to_result(payload: dict) -> CompletionResult:
 class ResponseCache:
     """Append-only JSONL cache keyed by content digest.
 
-    Each line is one entry; appends take an exclusive file lock so concurrent
-    writers cannot interleave. A torn trailing line (crashed writer) is
-    skipped on load, so prior entries are never corrupted. An unwritable path
-    degrades to in-memory caching with a warning.
+    Each line is one entry, a JSON object with `key` and `value`; appends take
+    an exclusive file lock so concurrent writers cannot interleave. A torn
+    trailing line (crashed writer) is skipped on load, so prior entries are
+    never corrupted. An unwritable path degrades to in-memory caching with a
+    warning.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -164,8 +165,7 @@ class ResponseCache:
             return self._entries.get(key)
 
     def store(self, key: str, value: dict) -> None:
-        line = json.dumps({"key": key, "created_at": time.time(), "value": value},
-                          separators=(",", ":"))
+        line = json.dumps({"key": key, "value": value}, separators=(",", ":"))
         with self._lock:
             self._entries[key] = value
             if self._path is None:

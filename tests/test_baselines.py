@@ -6,7 +6,6 @@ import pytest
 from semsearch.affinity import AffinityDistribution, TableScorer, score_distribution
 from semsearch.baselines import (
     EmbeddingError,
-    HashEmbedder,
     LLMRoomScorer,
     MissingRoomScoreError,
     RoomScoreParseError,
@@ -118,8 +117,10 @@ class TestRoomScores:
 
 class TestSimilarityRank:
     def test_identical_label_ranks_first_any_provider(self):
-        for embedder in (HashEmbedder(), TableEmbedder({"drill": (1.0, 0.0), "rake": (0.0, 1.0)})):
-            ranking = similarity_rank(embedder, ["rake", "drill"], "drill")
+        for vectors in ({"drill": (1.0, 0.0), "rake": (0.0, 1.0)},
+                        {"drill": (0.3, -2.0, 0.7), "rake": (-0.3, 2.0, 0.7)},
+                        {"drill": (1e-150, 3e-150), "rake": (1e150, 1e150)}):
+            ranking = similarity_rank(TableEmbedder(vectors), ["rake", "drill"], "drill")
             assert next(iter(ranking)) == "drill"
             assert ranking["drill"] == pytest.approx(1.0, abs=1e-12)
 
@@ -136,7 +137,8 @@ class TestSimilarityRank:
         assert list(ranking) == ["a", "b"]
 
     def test_order_invariance(self):
-        embedder = HashEmbedder()
+        embedder = TableEmbedder({"t": (1.0, 0.5, 0.0), "a": (0.2, 1.0, 0.0),
+                                  "b": (-1.0, 0.3, 0.4), "c": (0.9, 0.4, -0.1)})
         r1 = similarity_rank(embedder, ["a", "b", "c"], "t")
         r2 = similarity_rank(embedder, ["c", "b", "a"], "t")
         assert list(r1.items()) == list(r2.items())
@@ -160,8 +162,18 @@ class TestSimilarityRank:
         with pytest.raises(EmbeddingError, match=re.escape(message)):
             TableEmbedder(vectors)
 
+    # Finite vectors whose squared norm overflows to inf or underflows to 0
+    # would make cosine nan or 0 and the rank order depend on input order.
+    @pytest.mark.parametrize("vector", [(1e200, 0.0), (0.0, 1e-200)],
+                             ids=["overflow", "underflow"])
+    def test_vector_norm_must_be_computable(self, vector):
+        with pytest.raises(EmbeddingError,
+                           match=re.escape("vector for 'rake' has a norm too small or too large")):
+            TableEmbedder({"drill": (1.0, 0.0), "rake": vector, "hose": (0.0, 1.0)})
+
     def test_cosine_range(self):
-        embedder = HashEmbedder()
+        embedder = TableEmbedder({"target": (0.4, -1.0, 2.0), "a": (0.4, -1.0, 2.0),
+                                  "b": (-0.4, 1.0, -2.0), "c": (3.0, 0.2, -0.1)})
         for label in ("a", "b", "c"):
             sim = cosine(embedder.embed(label), embedder.embed("target"))
             assert -1.0 - 1e-9 <= sim <= 1.0 + 1e-9
@@ -177,7 +189,7 @@ def two_room_env():
     )
 
 
-def overlap_ranking(env):
+def drill_ranking(env):
     # "drill bit" ranks above "hose" above "rake" for the target "drill"
     vectors = {"drill": (1.0, 0.0), "drill bit": (1.0, 0.1), "hose": (0.5, 1.0),
                "rake": (0.0, 1.0)}
@@ -192,14 +204,14 @@ class TestPlanRoomSearch:
             [("obj-a", "rake", "a1")],
             [("A", ["a1"])],
         )
-        plan = plan_room_search(env, room_dist({"A": 1.0}), "s")
+        plan = plan_room_search(env, room_dist({"A": 1.0}), "s", ranking=drill_ranking(env))
         assert plan.sequence == ("a1",)
         assert plan.total_mass == pytest.approx(1.0)
 
     def test_higher_probability_room_first_at_equal_distance(self):
         env = two_room_env()
         dist = room_dist({"A": 0.9, "B": 0.1})
-        plan = plan_room_search(env, dist, "s")
+        plan = plan_room_search(env, dist, "s", ranking=drill_ranking(env))
         # hand evaluation of the two room orderings under the plan cost
         norm = env.max_pairwise_distance
         cost_ab = eq3_cost(env.distance, "s", ("a1", "b1"), {"a1": 0.9, "b1": 0.1}, 1.0, norm)
@@ -209,7 +221,8 @@ class TestPlanRoomSearch:
 
     def test_moves_to_next_room_after_exhausting_areas(self):
         env = two_room_env()
-        plan = plan_room_search(env, room_dist({"A": 0.6, "B": 0.4}), "s")
+        plan = plan_room_search(env, room_dist({"A": 0.6, "B": 0.4}), "s",
+                                ranking=drill_ranking(env))
         assert plan.sequence == ("a1", "b1")
         assert plan.per_step[0].score == pytest.approx(0.6)
         assert plan.per_step[1].score == pytest.approx(0.4)
@@ -253,7 +266,7 @@ class TestPlanRoomSearch:
         )
         plan = plan_room_search(env, room_dist({"A": 0.9, "B": 0.01, "C": 0.09}), "s",
                                 PlannerConfig(score_weight=score_weight),
-                                overlap_ranking(env))
+                                ranking=drill_ranking(env))
         assert plan.sequence == ("w2", "w1", "w3")
         assert [step.score for step in plan.per_step] == pytest.approx([0.46, 0.45, 0.09])
 
@@ -267,7 +280,7 @@ class TestPlanRoomSearch:
             [("A", ["w1", "w2"]), ("B", ["w2", "w5", "w6"])],
         )
         plan = plan_room_search(env, room_dist({"A": 0.9, "B": 0.1}), "s",
-                                ranking=overlap_ranking(env))
+                                ranking=drill_ranking(env))
         assert plan.sequence == ("w2", "w1")
         assert [step.score for step in plan.per_step] == pytest.approx([0.55, 0.45])
         assert plan.per_step[-1].cumulative == pytest.approx(1.0)
@@ -275,7 +288,7 @@ class TestPlanRoomSearch:
     def test_unknown_room_rejected(self):
         env = two_room_env()
         with pytest.raises(Exception, match="shed"):
-            plan_room_search(env, room_dist({"shed": 1.0}), "s")
+            plan_room_search(env, room_dist({"shed": 1.0}), "s", ranking=drill_ranking(env))
 
 
 class TestHottestObject:

@@ -10,8 +10,9 @@ import pytest
 
 from semsearch import cli
 from semsearch.affinity import TableScorer
-from semsearch.baselines import TableRoomScorer
-from semsearch.cli import METHODS, main, run_batch, run_bench, sample_pairs
+from semsearch.baselines import EmbeddingError, TableEmbedder, TableRoomScorer
+from semsearch.cli import METHODS, compute_artifacts, main, run_batch, run_bench, sample_pairs
+from semsearch.env_graph import parse_scenario
 
 from conftest import FARM_SCENARIO, REPO_ROOT
 
@@ -198,6 +199,16 @@ class TestRun:
         rows = read_csv(out_dir / "episodes.csv")
         assert all(r["error"] == "" for r in rows)
 
+    def test_room_search_without_embeddings_rejected(self, tmp_path, capsys, farm_doc):
+        doc = {key: value for key, value in farm_doc.items() if key != "embeddings"}
+        scenario = tmp_path / "no-embeddings.json"
+        scenario.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert run_cli("run", "--scenario", str(scenario), "--method", "room_search",
+                       "--trials", "4", "--out", str(out_dir)) == 2
+        assert "embeddings" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestRunBatch:
     def test_errored_trials_count_as_failed_attempts(self, farm_cfg, monkeypatch):
@@ -242,6 +253,32 @@ class TestRunBatch:
         with pytest.raises(ValueError, match=f"got {trials}"):
             run(farm_cfg, methods, trials, 3, affinity_scorer=Recording(farm_cfg.scorer.table),
                 room_scorer=RecordingRooms(farm_cfg.room_scores))
+        assert calls == []
+
+    @pytest.mark.parametrize("missing, message", [
+        ("rooms", "declares no rooms"),
+        ("room_scorer", "a room scorer is required"),
+        ("embedder", "declares no embeddings"),
+        ("drill", "no declared embedding vector for 'drill'"),
+    ])
+    def test_room_search_inputs_checked_before_scoring(self, farm_doc, missing, message):
+        # With --scorer llm every affinity score is a paid request.
+        calls = []
+
+        class Counting(TableScorer):
+            def score(self, *args):
+                calls.append(args)
+                return super().score(*args)
+
+        doc = {key: value for key, value in farm_doc.items() if key != missing}
+        cfg = parse_scenario(json.dumps(doc))
+        vectors = {label: v for label, v in farm_doc["embeddings"].items() if label != missing}
+        inputs = {"room_scorer": TableRoomScorer(farm_doc["room_scores"]),
+                  "embedder": TableEmbedder(vectors)}
+        inputs.pop(missing, None)
+        with pytest.raises((ValueError, EmbeddingError), match=message):
+            compute_artifacts(cfg, ["losae", "room_search"], "drill",
+                              Counting(farm_doc["scorer"]["table"]), **inputs)
         assert calls == []
 
 

@@ -159,6 +159,9 @@ class TestLoadScenario:
                      ScenarioParseError, "scorer table key 'hammer'", id="table-key"),
         pytest.param(("embeddings",), {"hammer": [1.0, 0.0], "drill": [0.0, 1.0, 0.5]},
                      ScenarioValidationError, "'drill' has length 3", id="embedding-length"),
+        pytest.param(("embeddings",), {"hammer": [1.0, 0.0], "drill": [1e200, 0.0]},
+                     ScenarioValidationError, "embeddings: embedding vector for 'drill' has a norm",
+                     id="embedding-norm"),
         pytest.param(("scorer",), {"kind": None}, ScenarioParseError, "scorer kind",
                      id="scorer-kind"),
     ])

@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -212,6 +213,19 @@ class TestCache:
         value = ResponseCache(path).lookup("k1")
         assert value == {"answer_text": "x", "tokens": [["a", -0.25]],
                          "model_echo": "m", "latency_ms": 12.5}
+
+    def test_stored_line_holds_only_key_and_value(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ResponseCache(path).store("k1", {"v": 1})
+        (line,) = path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(line) == {"key": "k1", "value": {"v": 1}}
+
+    def test_line_with_a_created_at_stamp_still_hits(self, tmp_path):
+        # The format older versions wrote: same key and value, plus a stamp.
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key":"k1","created_at":1700000000.5,"value":{"v":1}}\n',
+                        encoding="utf-8")
+        assert ResponseCache(path).lookup("k1") == {"v": 1}
 
     def test_torn_trailing_line_is_ignored(self, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -11,7 +11,7 @@ import pytest
 
 from semsearch import cli, planner
 from semsearch.affinity import AffinityDistribution, ScorerError, TableScorer
-from semsearch.baselines import TableRoomScorer
+from semsearch.baselines import TableEmbedder, TableRoomScorer
 from semsearch.planner import (
     MAX_SCORED_WAYPOINTS,
     PlannerConfig,
@@ -326,7 +326,8 @@ class TestKeptTables:
     def test_room_search_on_the_farm_reuses_tables(self, farm_cfg):
         _cost_to_go.cache_clear()
         cli.run_batch(farm_cfg, "room_search", 200, 5,
-                      room_scorer=TableRoomScorer(farm_cfg.room_scores))
+                      room_scorer=TableRoomScorer(farm_cfg.room_scores),
+                      embedder=TableEmbedder(farm_cfg.embeddings))
         assert _cost_to_go.cache_info().misses == 7
 
     def test_output_does_not_depend_on_cache_history(self, farm_cfg, tmp_path):
@@ -341,7 +342,8 @@ class TestKeptTables:
         for target in ("screwdriver", "water tap"):
             cli.run_bench(farm_cfg, list(cli.METHODS), 50, 7, target=target,
                           affinity_scorer=TableScorer(farm_cfg.scorer.table),
-                          room_scorer=TableRoomScorer(farm_cfg.room_scores))
+                          room_scorer=TableRoomScorer(farm_cfg.room_scores),
+                          embedder=TableEmbedder(farm_cfg.embeddings))
         assert bench_bytes(tmp_path / "warm") == cold
         misses = _cost_to_go.cache_info().misses
         assert bench_bytes(tmp_path / "hot") == cold
