@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
-from .llm_gateway import CompletionRequest, LLMGateway, TokenLogprobs
+if TYPE_CHECKING:
+    from .llm_gateway import LLMGateway, TokenLogprobs
 
 SYSTEM_PROMPT = (
     "You are an expert object location reasoning robot. You will be given some seen "
@@ -167,6 +168,8 @@ class LLMScorer:
         self.answers: dict[tuple[str, str], str] = {}
 
     def score(self, seen_label: str, target_label: str) -> float:
+        from .llm_gateway import CompletionRequest
+
         result = self.gateway.complete(CompletionRequest(
             system_text=SYSTEM_PROMPT,
             user_text=build_prompt(seen_label, target_label),

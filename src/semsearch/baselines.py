@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from .affinity import (AffinityDistribution, TableScorer, normalize_label,
                        normalized_distribution, split_across_instances)
-from .llm_gateway import CompletionRequest, LLMGateway
 from .planner import PlannerConfig, SearchPlan, WaypointScores, make_plan, plan_optimal
+
+if TYPE_CHECKING:
+    from .llm_gateway import LLMGateway
 
 
 class BaselineError(Exception):
@@ -75,6 +77,8 @@ class LLMRoomScorer:
         self.gateway = gateway
 
     def _ask(self, user_text: str) -> str:
+        from .llm_gateway import CompletionRequest
+
         result = self.gateway.complete(CompletionRequest(
             system_text=ROOM_SYSTEM_PROMPT,
             user_text=user_text,
@@ -158,13 +162,13 @@ class TableEmbedder:
 
 
 def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    """Cosine similarity of two vectors whose norms are both positive and finite,
+    as `TableEmbedder` guarantees for every vector it returns."""
     if len(a) != len(b):
         raise EmbeddingError(f"vector length mismatch: {len(a)} vs {len(b)}")
     dot = math.fsum(x * y for x, y in zip(a, b))
     na = math.sqrt(math.fsum(x * x for x in a))
     nb = math.sqrt(math.fsum(y * y for y in b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
     return dot / (na * nb)
 
 

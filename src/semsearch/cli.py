@@ -15,14 +15,17 @@ import random
 import sys
 from collections.abc import Callable
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import baselines, metrics
 from .affinity import LLMScorer, TableScorer, normalize_label, score_distribution
 from .env_graph import GroundTruth, ScenarioConfig, load_scenario_path
-from .llm_gateway import GatewayConfig, LLMGateway, ResponseCache
 from .metrics import BatchReport, episode_row
 from .planner import PlannerConfig, SearchPlan, plan_optimal, waypoint_scores
 from .search_sim import SimulationParams, run_episode
+
+if TYPE_CHECKING:
+    from .llm_gateway import LLMGateway
 
 METHODS = ("losae", "room_search", "hottest_object", "hottest_waypoint")
 # Every method but Room Search plans over the target's affinity distribution.
@@ -141,6 +144,9 @@ def run_bench(cfg: ScenarioConfig, methods, trials: int, seed: int, *,
 # -- scorer construction -----------------------------------------------------------
 
 def _make_gateway(args) -> LLMGateway:
+    # Imported here so table-scorer commands never load the HTTP client.
+    from .llm_gateway import GatewayConfig, LLMGateway, ResponseCache
+
     cache = ResponseCache(args.cache) if args.cache else None
     return LLMGateway(GatewayConfig.from_env(), cache=cache)
 

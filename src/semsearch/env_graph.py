@@ -1,18 +1,21 @@
 """Environment data model: waypoint graph, seen objects, rooms, ground truth.
 
 Scenario documents are JSON with a closed schema; unknown keys are rejected so
-hand-authored files fail loudly instead of silently dropping a typo. All-pairs
-shortest-path distances are computed once at load into a dense table indexed
-by sorted waypoint id, with one heap Dijkstra per source: O(V·E·log V) time
-and O(V²) memory, which suits sparse maps of hundreds of waypoints. Lookups
-are O(1).
+hand-authored files fail loudly instead of silently dropping a typo.
+Shortest-path distances are read from rows indexed by sorted waypoint id, one
+heap Dijkstra per source row (O(E·log V) time, O(V) memory), computed the first
+time a distance needs it and kept. Load computes row 0, which doubles as the
+connectivity check, and the maximum pairwise distance by BoundingDiameters
+(Takes & Kosters 2011), which computes only the rows that bound every
+waypoint's eccentricity. A run that plans over a few scored waypoints reads a
+few rows, not all V.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .affinity import TableScorer, normalize_label
@@ -88,7 +91,14 @@ class ScenarioConfig:
 
 
 class Environment:
-    """Immutable after construction; safe to share across concurrent episodes."""
+    """The declared graph, objects and rooms do not change after construction, so
+    one environment is safe to share across concurrent episodes.
+
+    Distance rows are computed on first use and cached. `distance(a, b)` reads
+    the row of whichever of the two has the lower sorted index, so both
+    directions return the same float. Two threads that race on one missing row
+    both compute it and store equal lists, which is harmless.
+    """
 
     def __init__(self, waypoints: list[Waypoint], edges: list[Edge],
                  objects: list[SeenObject], rooms: list[Room]):
@@ -154,8 +164,18 @@ class Environment:
 
         ids = sorted(self.waypoints)
         self._index: dict[str, int] = {wid: i for i, wid in enumerate(ids)}
-        self._dist = self._all_pairs_shortest_paths(ids)
-        self.max_pairwise_distance = max(map(max, self._dist))
+        self._adj: list[list[tuple[int, float]]] = [[] for _ in ids]
+        for edge in self.edges:
+            i, j = self._index[edge.a], self._index[edge.b]
+            self._adj[i].append((j, edge.length))
+            self._adj[j].append((i, edge.length))
+        self._rows: list[list[float] | None] = [None] * len(ids)
+        row = self._compute_row(0)
+        if math.inf in row:
+            raise ScenarioValidationError(
+                f"graph is disconnected: waypoint {ids[row.index(math.inf)]!r} "
+                f"is unreachable from {ids[0]!r}")
+        self.max_pairwise_distance = self._diameter()
         by_wp: dict[str, list[SeenObject]] = {wid: [] for wid in self.waypoints}
         for obj in self.objects.values():
             by_wp[obj.waypoint].append(obj)
@@ -163,42 +183,73 @@ class Environment:
             wid: tuple(sorted(objs, key=lambda o: o.instance_id)) for wid, objs in by_wp.items()
         }
 
-    def _all_pairs_shortest_paths(self, ids: list[str]) -> list[list[float]]:
-        """Dense distance table, one heap Dijkstra per source over integer adjacency.
+    def _compute_row(self, source: int) -> list[float]:
+        """Heap Dijkstra from `source` over integer adjacency, cached as its row."""
+        adj = self._adj
+        row = [math.inf] * len(adj)
+        row[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            d, u = heappop(heap)
+            if d > row[u]:
+                continue
+            for v, length in adj[u]:
+                alt = d + length
+                if alt < row[v]:
+                    row[v] = alt
+                    heappush(heap, (alt, v))
+        self._rows[source] = row
+        return row
 
-        The first source's row doubles as the connectivity check. The upper
-        triangle is mirrored into the lower one so distance(a, b) and
-        distance(b, a) are the same float, whichever way Dijkstra summed them.
+    def _diameter(self) -> float:
+        """The largest canonical distance, by BoundingDiameters (Takes & Kosters 2011).
+
+        Each computed row gives its source's eccentricity e, and for every other
+        waypoint w at distance d the bounds max(d, e - d) <= ecc(w) <= e + d.
+        Rows are computed alternately for the waypoint with the largest upper
+        bound and the one with the smallest lower bound, and a waypoint is
+        dropped once its upper bound is below the best eccentricity times
+        (1 - 1e-9). The slack is far wider than the rounding of any path sum,
+        so both ends of every pair at the diameter keep their rows. The answer
+        is the largest lower-index row entry over the pairs within the slack:
+        an eccentricity may read a row entry from the other end of a pair, one
+        ulp off the distance that `distance` returns.
         """
-        n = len(ids)
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for edge in self.edges:
-            i, j = self._index[edge.a], self._index[edge.b]
-            adj[i].append((j, edge.length))
-            adj[j].append((i, edge.length))
-        rows: list[list[float]] = []
-        for source in range(n):
-            row = [math.inf] * n
-            row[source] = 0.0
-            heap = [(0.0, source)]
-            while heap:
-                d, u = heappop(heap)
-                if d > row[u]:
-                    continue
-                for v, length in adj[u]:
-                    alt = d + length
-                    if alt < row[v]:
-                        row[v] = alt
-                        heappush(heap, (alt, v))
-            if not rows and math.inf in row:
-                raise ScenarioValidationError(
-                    f"graph is disconnected: waypoint {ids[row.index(math.inf)]!r} "
-                    f"is unreachable from {ids[0]!r}")
-            rows.append(row)
-        for i, row in enumerate(rows):
-            for j in range(i + 1, n):
-                rows[j][i] = row[j]
-        return rows
+        n = len(self._rows)
+        lower = [0.0] * n
+        upper = [math.inf] * n
+        eccentricity: dict[int, float] = {}
+        candidates = list(range(1, n))
+        best, source, highest = 0.0, 0, True
+        while True:
+            row = self._rows[source] or self._compute_row(source)
+            ecc = eccentricity[source] = max(row)
+            if ecc > best:
+                best = ecc
+            for w in candidates:
+                d = row[w]
+                if ecc + d < upper[w]:
+                    upper[w] = ecc + d
+                if d > lower[w] or ecc - d > lower[w]:
+                    lower[w] = d if d > ecc - d else ecc - d
+            cutoff = best * (1.0 - 1e-9)
+            candidates = [w for w in candidates if upper[w] >= cutoff]
+            if not candidates:
+                break
+            # max and min return the first of equal keys: the lowest index.
+            source = (max(candidates, key=upper.__getitem__) if highest
+                      else min(candidates, key=lower.__getitem__))
+            candidates.remove(source)
+            highest = not highest
+        ends = sorted(v for v, ecc in eccentricity.items() if ecc >= cutoff)
+        rows = self._rows
+        return max((max(map(rows[a].__getitem__, ends[i + 1:]))
+                    for i, a in enumerate(ends[:-1])), default=0.0)
+
+    @property
+    def rows_computed(self) -> int:
+        """How many distance rows have been computed so far."""
+        return sum(row is not None for row in self._rows)
 
     # -- queries -------------------------------------------------------------
 
@@ -209,9 +260,15 @@ class Environment:
     def distance(self, a: str, b: str) -> float:
         """Shortest-path (geodesic) distance through the graph, in meters."""
         try:
-            return self._dist[self._index[a]][self._index[b]]
+            i, j = self._index[a], self._index[b]
         except KeyError as exc:
             raise UnknownWaypointError(f"unknown waypoint {exc.args[0]!r}") from None
+        if i > j:
+            i, j = j, i
+        row = self._rows[i]
+        if row is None:
+            row = self._compute_row(i)
+        return row[j]
 
     def objects_at(self, waypoint_id: str) -> tuple[SeenObject, ...]:
         """The waypoint's objects in instance_id order."""

@@ -290,6 +290,16 @@ class TestModuleEntry:
         assert proc.returncode == 0
         assert "usage: semsearch" in proc.stdout
 
+    def test_importing_the_cli_loads_no_http_client(self):
+        # Only --scorer llm reaches the gateway, so the table-scorer commands
+        # should not pay for importing requests.
+        code = "import sys, semsearch.cli; print(sorted(m for m in sys.modules if m.startswith('requests')))"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestBench:
     def test_paired_sampling_across_methods(self, tmp_path, capsys):
@@ -341,16 +351,17 @@ class TestBench:
         assert outs[0] == outs[1]
 
     def test_llm_scorers_share_one_gateway(self, tmp_path, monkeypatch, farm_cfg, farm_doc):
+        import semsearch.llm_gateway as gw
         from stub_server import StubServer, ok_completion
 
         built = []
 
-        class Recorded(cli.LLMGateway):
+        class Recorded(gw.LLMGateway):
             def __init__(self, *args, **kwargs):
                 built.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "LLMGateway", Recorded)
+        monkeypatch.setattr(gw, "LLMGateway", Recorded)
         doc = {key: value for key, value in farm_doc.items() if key != "room_scores"}
         scenario = tmp_path / "no-room-table.json"
         scenario.write_text(json.dumps(doc))

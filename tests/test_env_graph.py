@@ -3,6 +3,8 @@ import json
 import math
 import random
 import re
+import sys
+import threading
 import time
 
 import pytest
@@ -13,9 +15,48 @@ from semsearch.env_graph import (
     UnknownWaypointError,
     parse_scenario,
 )
+from semsearch.planner import WaypointScores, plan_optimal
 
 from conftest import FARM_SCENARIO, make_env, random_connected_graph
 from oracles import all_pairs_floyd_warshall, simple_path_distance
+
+
+def tied_graph(rng: random.Random, n: int):
+    """Random spanning tree plus chords, integer lengths 1-3, so many paths tie."""
+    ids = [f"t{i:03d}" for i in range(n)]
+    order = rng.sample(ids, n)
+    pairs = dict.fromkeys(frozenset((order[i], order[rng.randrange(i)])) for i in range(1, n))
+    pairs.update(dict.fromkeys(frozenset(rng.sample(ids, 2)) for _ in range(rng.randint(0, 2 * n))))
+    edges = [(*sorted(pair), rng.randint(1, 3)) for pair in pairs]
+    return [(wid, 0, 0) for wid in ids], edges
+
+
+def farm_like_graph(rng: random.Random, n: int):
+    """Stations of about seven waypoints, 14 m apart on a grid, chained inside,
+    with chords and links between neighbouring stations; Euclidean lengths from
+    jittered coordinates, as on a generated farm map."""
+    stations = [list(range(s, n, max(1, round(n / 7)))) for s in range(max(1, round(n / 7)))]
+    cols = math.ceil(math.sqrt(len(stations)))
+    position, pairs = {}, set()
+    for s, members in enumerate(stations):
+        for j, w in enumerate(members):
+            position[w] = (round((s % cols) * 14.0 + (j % 3) * 2.5 + rng.uniform(-0.6, 0.6), 3),
+                           round((s // cols) * 14.0 + (j // 3) * 2.5 + rng.uniform(-0.6, 0.6), 3))
+        pairs.update(frozenset(p) for p in zip(members, members[1:]))
+        if len(members) > 1:
+            pairs.update(frozenset(rng.sample(members, 2)) for _ in range(len(members) // 3))
+        if s:
+            pairs.add(frozenset((rng.choice(members), rng.choice(stations[s - 1]))))
+    ids = {w: f"f{w:03d}" for w in position}
+    waypoints = [(ids[w], x, y) for w, (x, y) in position.items()]
+    edges = [(ids[a], ids[b], math.dist(position[a], position[b]))
+             for a, b in sorted(sorted(pair) for pair in pairs)]
+    return waypoints, edges
+
+
+def canonical_diameter(env) -> float:
+    ids = env.waypoint_ids()
+    return max((env.distance(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]), default=0.0)
 
 
 def minimal_doc(**overrides):
@@ -327,6 +368,74 @@ class TestDistance:
                 assert env.distance(a, b) == env.distance(b, a)
                 for c in ids:
                     assert env.distance(a, b) <= env.distance(a, c) + env.distance(c, b) + 1e-9
+
+
+class TestDiameter:
+    @pytest.mark.parametrize("graph", [tied_graph, farm_like_graph])
+    def test_equals_the_largest_distance_over_every_pair(self, graph):
+        rng = random.Random(graph.__name__)
+        for _ in range(30):
+            env = make_env(*graph(rng, rng.randint(2, 90)))
+            assert env.max_pairwise_distance == canonical_diameter(env)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 13])
+    @pytest.mark.parametrize("shape", ["path", "cycle", "star", "complete"])
+    def test_shapes(self, shape, n):
+        diameter = {"path": n - 1, "cycle": n // 2 if n > 2 else n - 1,
+                    "star": min(n - 1, 2), "complete": min(n - 1, 1)}[shape]
+        ids = [f"s{i:02d}" for i in range(n)]
+        pairs = {"path": list(zip(ids, ids[1:])),
+                 "cycle": list(zip(ids, ids[1:] + ids[:1])) if n > 2 else list(zip(ids, ids[1:])),
+                 "star": [(ids[0], wid) for wid in ids[1:]],
+                 "complete": [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]}[shape]
+        waypoints = [(wid, 0, 0) for wid in ids]
+        env = make_env(waypoints, [(a, b, 1.0) for a, b in pairs])
+        assert env.max_pairwise_distance == canonical_diameter(env) == diameter
+        rng = random.Random(f"{shape}{n}")
+        env = make_env(waypoints, [(a, b, rng.uniform(0.5, 3.0)) for a, b in pairs])
+        assert env.max_pairwise_distance == canonical_diameter(env)
+
+
+class TestLazyRows:
+    def test_load_and_one_plan_read_few_rows(self):
+        rng = random.Random(300)
+        waypoints, edges = farm_like_graph(rng, 300)
+        hosts = rng.sample([w[0] for w in waypoints], 5)
+        env = make_env(waypoints, edges, [(f"obj-{h}", "hammer", h) for h in hosts])
+        loaded = env.rows_computed
+        plan = plan_optimal(env, waypoints[0][0], WaypointScores({h: 0.2 for h in hosts}, 1.0))
+        assert sorted(plan.sequence) == sorted(hosts)
+        assert 1 <= loaded <= env.rows_computed <= 60
+
+    def test_concurrent_first_reads_match_serial_reads(self):
+        rng = random.Random(8)
+        waypoints, edges = farm_like_graph(rng, 80)
+        serial = make_env(waypoints, edges)
+        ids = serial.waypoint_ids()
+        expected = {(a, b): serial.distance(a, b) for a in ids for b in ids}
+        shared = make_env(waypoints, edges)
+        barrier = threading.Barrier(8, timeout=30)
+        seen = []
+
+        def read(order):
+            barrier.wait()
+            seen.append({pair: shared.distance(*pair) for pair in order})
+
+        orders = [rng.sample(sorted(expected), len(expected)) for _ in range(8)]
+        threads = [threading.Thread(target=read, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        assert all(values == expected for values in seen)
+        assert shared.rows_computed == len(ids)
 
 
 class TestObjectsAt:
