@@ -20,9 +20,9 @@ from typing import TYPE_CHECKING
 from . import baselines, metrics
 from .affinity import LLMScorer, TableScorer, normalize_label, score_distribution
 from .env_graph import GroundTruth, ScenarioConfig, load_scenario_path
-from .metrics import BatchReport, episode_row
+from .metrics import BatchReport, EpisodeRow, episode_row
 from .planner import PlannerConfig, SearchPlan, plan_optimal, waypoint_scores
-from .search_sim import SimulationParams, run_episode
+from .search_sim import SimulationParams, TrialDraws, run_episode
 
 if TYPE_CHECKING:
     from .llm_gateway import LLMGateway
@@ -32,6 +32,9 @@ METHODS = ("losae", "room_search", "hottest_object", "hottest_waypoint")
 AFFINITY_METHODS = frozenset(("losae", "hottest_object", "hottest_waypoint"))
 
 Planner = Callable[[str, PlannerConfig], SearchPlan]
+
+# An EpisodeRow's fields from here on describe the episode, not the trial.
+EPISODE_FIELDS = EpisodeRow._fields.index("outcome")
 
 
 def child_seed(seed: int, trial: int) -> int:
@@ -105,10 +108,13 @@ def run_bench(cfg: ScenarioConfig, methods, trials: int, seed: int, *,
               params: SimulationParams | None = None) -> list[BatchReport]:
     """One BatchReport per method over the same `trials` sampled trials.
 
-    Each trial's start, host object and episode seed are drawn once and every
-    method runs over them, so the comparison is paired. Failures are recorded,
-    not raised: a trial that raises is written as an error row and counts as a
-    failed attempt in SR and SPL.
+    Each trial's start, host object and detection draws are drawn once and
+    every method runs over them, so the comparison is paired. With no
+    fractional detection rate an episode depends only on its plan and host,
+    so each method runs one episode per (start, host) and its row serves every
+    trial that shares them. Failures are recorded, not raised: a trial that
+    raises is written as an error row and counts as a failed attempt in SR
+    and SPL. A start whose plan raised is planned once and its error reused.
     """
     if trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -118,27 +124,51 @@ def run_bench(cfg: ScenarioConfig, methods, trials: int, seed: int, *,
     params = params or cfg.params
     planners = compute_artifacts(cfg, methods, target, affinity_scorer,
                                  room_scorer, embedder)
-    draws = [(trial, start, child_seed(seed, trial),
-              GroundTruth(target_label=target, host_object=host))
-             for trial, (start, host) in enumerate(sample_pairs(env, trials, seed))]
+    reuse = not params.perception.fractional
+    sampled = []
+    for trial, (start, host) in enumerate(sample_pairs(env, trials, seed)):
+        episode_seed = child_seed(seed, trial)
+        truth = GroundTruth(target_label=target, host_object=host)
+        sampled.append((trial, start, episode_seed, truth, TrialDraws(episode_seed)))
 
     reports = []
     for method in methods:
         plan_from = planners[method]
-        plans: dict[str, SearchPlan] = {}
+        plans: dict[str, SearchPlan | str] = {}  # a start's plan, or its planner's error
+        episodes: dict[tuple[str, str], tuple] = {}  # (start, host) -> episode fields
         rows = []
-        for trial, start, episode_seed, truth in draws:
+        for trial, start, episode_seed, truth, draws in sampled:
+            key = start, truth.host_object
+            if reuse and key in episodes:
+                rows.append(EpisodeRow(trial, start, truth.host_object, target,
+                                       episode_seed, *episodes[key]))
+                continue
+            plan = plans.get(start)
+            if plan is None:
+                try:
+                    plan = plan_from(start, config)
+                except Exception as exc:
+                    plan = _error_text(exc)
+                plans[start] = plan
             result, error = None, ""
-            try:
-                if start not in plans:
-                    plans[start] = plan_from(start, config)
-                result = run_episode(env, plans[start], truth, params, seed=episode_seed)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-            rows.append(episode_row(trial, start, truth.host_object, target, episode_seed,
-                                    result, error))
+            if isinstance(plan, str):
+                error = plan
+            else:
+                try:
+                    result = run_episode(env, plan, truth, params, draws=draws)
+                except Exception as exc:
+                    error = _error_text(exc)
+            row = episode_row(trial, start, truth.host_object, target, episode_seed,
+                              result, error)
+            if reuse:
+                episodes[key] = row[EPISODE_FIELDS:]
+            rows.append(row)
         reports.append(metrics.build_report(method, rows))
     return reports
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 # -- scorer construction -----------------------------------------------------------

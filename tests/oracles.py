@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 
 def simple_path_distance(edges: list[tuple[str, str, float]], a: str, b: str) -> float:
@@ -86,3 +87,37 @@ def best_permutation(distance, start: str, waypoints, scores: dict[str, float],
             best_cost = cost
             best_seq = perm
     return best_cost, best_seq
+
+
+def reference_episode(plan, objects, distance, host: str, tpr: float, fpr: float,
+                      seed: int) -> tuple[str, str | None, list[str], float]:
+    """One episode walked longhand: (outcome, detected object, walked waypoints,
+    meters walked).
+
+    `objects` holds (instance_id, waypoint) pairs. The episode walks the plan's
+    sequence from its start. At each waypoint every object, in instance-id
+    order, takes the next `random()` of one `random.Random(seed)` and triggers
+    when that draw is below its rate: `tpr` for `host`, `fpr` for any other.
+    After a waypoint with no trigger the episode is lost once the walked
+    waypoints' scores reach 95 % of the plan's total mass.
+    """
+    rng = random.Random(seed)
+    at: dict[str, list[str]] = {}
+    for instance_id, waypoint in sorted(objects):
+        at.setdefault(waypoint, []).append(instance_id)
+    walked: list[str] = []
+    mass = meters = 0.0
+    previous = plan.start
+    for step in plan.per_step:
+        waypoint = step.waypoint
+        walked.append(waypoint)
+        meters += distance(previous, waypoint)
+        previous = waypoint
+        for instance_id in at.get(waypoint, []):
+            if rng.random() < (tpr if instance_id == host else fpr):
+                outcome = "found" if instance_id == host else "found_false"
+                return outcome, instance_id, walked, meters
+        mass += step.score
+        if mass >= 0.95 * plan.total_mass:
+            return "lost", None, walked, meters
+    return "exhausted", None, walked, meters

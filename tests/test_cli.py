@@ -3,18 +3,24 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from semsearch import cli
+from semsearch import cli, search_sim
 from semsearch.affinity import TableScorer
 from semsearch.baselines import EmbeddingError, TableEmbedder, TableRoomScorer
 from semsearch.cli import METHODS, compute_artifacts, main, run_batch, run_bench, sample_pairs
 from semsearch.env_graph import parse_scenario
+from semsearch.planner import PlannerConfig, PlannerError
+from semsearch.search_sim import PerceptionModel, SimulationParams
 
 from conftest import FARM_SCENARIO, REPO_ROOT
+from oracles import all_pairs_floyd_warshall, reference_episode
 
 
 def run_cli(*argv):
@@ -233,6 +239,23 @@ class TestRunBatch:
         assert report.pe_excluded == 4 - len(pes)
         assert report.pe_mean == math.fsum(pes) / len(pes)
 
+    def test_a_failing_start_is_planned_once(self, farm_cfg, monkeypatch):
+        calls = []
+
+        def failing(env, start, wscores, config):
+            calls.append(start)
+            raise PlannerError(f"no plan from {start}")
+
+        monkeypatch.setattr(cli, "plan_optimal", failing)
+        report = run_batch(farm_cfg, "losae", 60, 3,
+                           affinity_scorer=TableScorer(farm_cfg.scorer.table))
+        starts = [start for start, _ in sample_pairs(farm_cfg.env, 60, 3)]
+        assert Counter(calls) == Counter(set(starts))
+        assert [row.start for row in report.rows] == starts
+        assert all(row.outcome == "error" and row.trace == () and row.detected is None
+                   and row.error == f"PlannerError: no plan from {row.start}"
+                   for row in report.rows)
+
     @pytest.mark.parametrize("run, methods, trials", [
         (run_bench, list(METHODS), 0),
         (run_batch, "losae", -3),
@@ -280,6 +303,81 @@ class TestRunBatch:
             compute_artifacts(cfg, ["losae", "room_search"], "drill",
                               Counting(farm_doc["scorer"]["table"]), **inputs)
         assert calls == []
+
+
+# Perfect, blind and always-firing perception, and each mix of a fractional
+# rate with a decided one.
+RATE_PAIRS = [(1, 0), (0, 0), (1, 1), (0, 1), (0.8, 0.05), (1, 0.05), (0.8, 0)]
+
+
+def farm_bench(cfg, trials, tpr, fpr, seed=5):
+    return run_bench(cfg, list(METHODS), trials, seed,
+                     affinity_scorer=TableScorer(cfg.scorer.table),
+                     room_scorer=TableRoomScorer(cfg.room_scores),
+                     embedder=TableEmbedder(cfg.embeddings),
+                     params=SimulationParams(PerceptionModel(tpr, fpr), seed=cfg.params.seed))
+
+
+class TestEpisodeDraws:
+    """bench shares each trial's draws across methods and, with no fractional
+    rate, one episode across the trials of a (start, host): every row must
+    still be the episode its own seed gives."""
+
+    @pytest.fixture(scope="class")
+    def farm_oracle(self, farm_cfg, farm_doc):
+        positions = {w["id"]: (w["x"], w["y"]) for w in farm_doc["waypoints"]}
+        edges = [(e["a"], e["b"],
+                  e.get("length", math.dist(positions[e["a"]], positions[e["b"]])))
+                 for e in farm_doc["edges"]]
+        table = all_pairs_floyd_warshall(positions, edges)
+        objects = [(o["instance_id"], o["waypoint"]) for o in farm_doc["objects"]]
+        planners = compute_artifacts(
+            farm_cfg, list(METHODS), farm_cfg.truth.target_label,
+            TableScorer(farm_cfg.scorer.table), TableRoomScorer(farm_cfg.room_scores),
+            TableEmbedder(farm_cfg.embeddings))
+        plans = {(method, start): planners[method](start, PlannerConfig())
+                 for method in METHODS for start in farm_cfg.env.waypoint_ids()}
+        return plans, objects, lambda a, b: table[a][b]
+
+    @pytest.mark.parametrize("tpr, fpr", RATE_PAIRS)
+    def test_every_row_matches_its_own_episode(self, farm_cfg, farm_oracle, tpr, fpr):
+        plans, objects, distance = farm_oracle
+        outcomes = Counter()
+        for report in farm_bench(farm_cfg, 200, tpr, fpr):
+            for row in report.rows:
+                outcome, detected, walked, meters = reference_episode(
+                    plans[report.method, row.start], objects, distance, row.host_object,
+                    tpr, fpr, row.seed)
+                assert (row.outcome, row.detected) == (outcome, detected)
+                assert [step.waypoint for step in row.trace] == walked
+                assert math.isclose(row.traversed_m, meters, rel_tol=1e-9, abs_tol=1e-9)
+                outcomes[outcome] += 1
+        assert sum(outcomes.values()) == 200 * len(METHODS)
+        if 0 < tpr < 1 or 0 < fpr < 1:
+            assert len(outcomes) > 1  # the draws decide, so the check is not vacuous
+
+    @pytest.fixture()
+    def seedings(self, monkeypatch):
+        # Only the simulator's generators: sample_pairs seeds its own in cli.
+        built = []
+
+        class Counting(random.Random):
+            def __init__(self, seed):
+                built.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(search_sim, "random", SimpleNamespace(Random=Counting))
+        return built
+
+    def test_perfect_perception_seeds_no_generator(self, farm_cfg, seedings):
+        farm_bench(farm_cfg, 200, 1.0, 0.0)
+        assert seedings == []
+
+    def test_noisy_perception_seeds_each_trial_at_most_once(self, farm_cfg, seedings):
+        reports = farm_bench(farm_cfg, 200, 0.8, 0.05)
+        assert 0 < len(seedings) <= 200
+        assert len(set(seedings)) == len(seedings)
+        assert set(seedings) <= {row.seed for row in reports[0].rows}
 
 
 class TestModuleEntry:

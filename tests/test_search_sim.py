@@ -8,6 +8,7 @@ from semsearch.search_sim import (
     Outcome,
     PerceptionModel,
     SimulationParams,
+    TrialDraws,
     inspect,
     run_episode,
 )
@@ -157,13 +158,13 @@ class TestInspect:
     def test_host_with_certain_detection(self, line_env):
         objs = [o for o in line_env.objects.values() if o.waypoint == "w3"]
         truth = GroundTruth("drill", "obj-b")
-        out = inspect(objs, truth, PerceptionModel(1.0, 0.0), random.Random(1))
+        out = inspect(objs, truth, PerceptionModel(1.0, 0.0), TrialDraws(1))
         assert out == "obj-b"
 
     def test_no_host_no_false_positives(self, line_env):
         objs = [o for o in line_env.objects.values() if o.waypoint == "w1"]
         truth = GroundTruth("drill", "obj-b")  # hosted elsewhere
-        out = inspect(objs, truth, PerceptionModel(1.0, 0.0), random.Random(1))
+        out = inspect(objs, truth, PerceptionModel(1.0, 0.0), TrialDraws(1))
         assert out is None
 
     def test_false_positive_rate_matches_closed_form(self):
@@ -174,10 +175,10 @@ class TestInspect:
         )
         objs = env.objects_at("w1")
         truth = GroundTruth("drill", "obj-absent")
-        rng = random.Random(20240819)
+        draws = TrialDraws(20240819)
         hits = sum(
-            inspect(objs, truth, PerceptionModel(1.0, 0.1), rng) is not None
-            for _ in range(10_000)
+            inspect(objs, truth, PerceptionModel(1.0, 0.1), draws, 3 * call) is not None
+            for call in range(10_000)
         )
         assert hits / 10_000 == pytest.approx(1 - 0.9 ** 3, abs=0.02)
 
@@ -187,7 +188,7 @@ class TestInspect:
             [("obj-b", "hoe", "w1"), ("obj-a", "rake", "w1")],
         )
         truth = GroundTruth("drill", "obj-nothere")
-        out = inspect(env.objects_at("w1"), truth, PerceptionModel(1.0, 1.0), random.Random(1))
+        out = inspect(env.objects_at("w1"), truth, PerceptionModel(1.0, 1.0), TrialDraws(1))
         assert out == "obj-a"  # first in instance_id order
 
 
