@@ -3,14 +3,17 @@
 Each attempted trial becomes one `EpisodeRow`, built once by `episode_row`:
 its outcome, SPL term and path efficiency are computed there and nowhere
 else. A batch's SR, SPL and PE are aggregated from its rows, and the four
-CSV writers format the same rows. `success_rate` and `spl` are the
-per-result definitions the row aggregates are checked against.
+CSV writers format the same rows, each distinct episode and plan step once per
+call: rows that reuse one episode's objects share its text. `success_rate` and
+`spl` are the per-result definitions the row aggregates are checked against.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,7 +118,10 @@ def build_report(method: str, rows: list[EpisodeRow]) -> BatchReport:
     )
 
 
-# -- CSV serialization: floats as .10g ------------------------------------------
+# -- CSV serialization: UTF-8, "\n" line ends, floats as .10g, minimal quoting --
+# Each writer streams its lines as strings, formatting each distinct episode's
+# fields and each PlanStep's once per call. The memos key floats by identity,
+# which the reports keep valid for the call: 0.0 == -0.0, but they print apart.
 
 EPISODE_COLUMNS = ["method", "trial", "start", "host_object", "target_label", "seed",
                    "outcome", "traversed_m", "ideal_m", "spl_term", "pe", "pe_included",
@@ -128,64 +134,104 @@ SUMMARY_COLUMNS = ["method", "episodes", "sr", "spl", "pe_mean", "pe_std", "pe_e
 DETECTION_KINDS = {Outcome.FOUND.value: "true_positive",
                    Outcome.FOUND_FALSE.value: "false_positive"}
 
+_needs_csv = re.compile(r'[,"\r\n]').search
 
-def _write_csv(path, header: list[str], rows) -> None:
+
+def _field(text: str) -> str:
+    """`text` as one CSV field; the csv module quotes any that may need it."""
+    if _needs_csv(text) is None:
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text,))
+    return buffer.getvalue()[:-1]
+
+
+def _episode_key(row: EpisodeRow) -> tuple:
+    """Fixes every byte of the row's outcome-through-trace text: strings by value,
+    the rest by identity."""
+    return (row.outcome, id(row.traversed_m), id(row.ideal_m), id(row.spl_term), id(row.pe),
+            row.error, id(row.trace))
+
+
+def _write_lines(path, header: list[str], lines) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
+
+
+def _episode_lines(reports: list[BatchReport]):
+    tails: dict[tuple, str] = {}
+    for report in reports:
+        method = _field(report.method)
+        for row in report.rows:
+            key = _episode_key(row)
+            tail = tails.get(key)
+            if tail is None:
+                pe = "" if row.pe is None else f"{row.pe:.10g}"
+                consumed = f"{row.trace[-1].cumulative:.10g}" if row.trace else "0"
+                tail = tails[key] = (
+                    f"{_field(row.outcome)},{row.traversed_m:.10g},{row.ideal_m:.10g},"
+                    f"{row.spl_term:.10g},{pe},{int(row.pe is not None)},{consumed},"
+                    f"{len(row.trace)},{_field(row.error)}\n")
+            yield (f"{method},{row.trial},{_field(row.start)},{_field(row.host_object)},"
+                   f"{_field(row.target_label)},{row.seed},{tail}")
 
 
 def write_episode_csv(reports: list[BatchReport], path) -> None:
     """One row per trial; `consumed` and `steps` are read off the trace."""
-    _write_csv(path, EPISODE_COLUMNS, (
-        (report.method, row.trial, row.start, row.host_object, row.target_label, row.seed,
-         row.outcome, f"{row.traversed_m:.10g}", f"{row.ideal_m:.10g}",
-         f"{row.spl_term:.10g}", "" if row.pe is None else f"{row.pe:.10g}",
-         int(row.pe is not None), f"{row.trace[-1].cumulative:.10g}" if row.trace else "0",
-         len(row.trace), row.error)
-        for report in reports for row in report.rows))
+    _write_lines(path, EPISODE_COLUMNS, _episode_lines(reports))
 
 
 def write_summary_csv(reports: list[BatchReport], path) -> None:
-    _write_csv(path, SUMMARY_COLUMNS, (
-        (r.method, r.episodes, f"{r.sr:.10g}", f"{r.spl:.10g}", f"{r.pe_mean:.10g}",
-         f"{r.pe_std:.10g}", r.pe_excluded)
+    _write_lines(path, SUMMARY_COLUMNS, (
+        f"{_field(r.method)},{r.episodes},{r.sr:.10g},{r.spl:.10g},{r.pe_mean:.10g},"
+        f"{r.pe_std:.10g},{r.pe_excluded}\n"
         for r in reports))
 
 
-def _step_rows(reports: list[BatchReport]):
+def _step_lines(reports: list[BatchReport]):
+    cells: dict[int, str] = {}  # id(PlanStep) -> "waypoint,leg_m,consumed"
     for report in reports:
-        method = report.method
+        method = _field(report.method)
         for row in report.rows:
-            trial, last = row.trial, len(row.trace) - 1
-            # Only the last step can have triggered: a detection ends the episode.
-            ending = DETECTION_KINDS.get(row.outcome, "none"), row.detected or ""
+            head, last = f"{method},{row.trial},", len(row.trace) - 1
             for index, step in enumerate(row.trace):
-                kind, instance_id = ending if index == last else ("none", "")
-                yield (method, trial, index, step.waypoint, f"{step.leg_meters:.10g}",
-                       f"{step.cumulative:.10g}", kind, instance_id)
+                cell = cells.get(id(step))
+                if cell is None:
+                    cell = cells[id(step)] = (f"{_field(step.waypoint)},{step.leg_meters:.10g},"
+                                              f"{step.cumulative:.10g}")
+                # Only the last step can have triggered: a detection ends the episode.
+                yield (f"{head}{index},{cell},none,\n" if index < last else
+                       f"{head}{index},{cell},{DETECTION_KINDS.get(row.outcome, 'none')},"
+                       f"{_field(row.detected or '')}\n")
 
 
 def write_steps_csv(reports: list[BatchReport], path) -> None:
     """Episode traces, one record per visited waypoint."""
-    _write_csv(path, ["method", "trial", "step", "waypoint", "leg_m", "consumed",
-                      "detection", "instance_id"], _step_rows(reports))
+    _write_lines(path, ["method", "trial", "step", "waypoint", "leg_m", "consumed",
+                        "detection", "instance_id"], _step_lines(reports))
 
 
-def _long_rows(reports: list[BatchReport]):
+def _long_lines(reports: list[BatchReport]):
+    values: dict[tuple, tuple] = {}
     for report in reports:
-        method = report.method
+        method = _field(report.method)
         for row in report.rows:
-            trial = row.trial
-            yield method, trial, "found", int(row.outcome == Outcome.FOUND.value)
-            yield method, trial, "traversed_m", f"{row.traversed_m:.10g}"
-            yield method, trial, "ideal_m", f"{row.ideal_m:.10g}"
-            yield method, trial, "spl_term", f"{row.spl_term:.10g}"
-            if row.pe is not None:
-                yield method, trial, "pe", f"{row.pe:.10g}"
+            key = _episode_key(row)
+            row_values = values.get(key)
+            if row_values is None:
+                row_values = values[key] = (
+                    int(row.outcome == Outcome.FOUND.value), f"{row.traversed_m:.10g}",
+                    f"{row.ideal_m:.10g}", f"{row.spl_term:.10g}",
+                    None if row.pe is None else f"{row.pe:.10g}")
+            found, traversed, ideal, term, pe = row_values
+            head = f"{method},{row.trial},"
+            yield (f"{head}found,{found}\n{head}traversed_m,{traversed}\n"
+                   f"{head}ideal_m,{ideal}\n{head}spl_term,{term}\n")
+            if pe is not None:
+                yield f"{head}pe,{pe}\n"
 
 
 def write_long_csv(reports: list[BatchReport], path) -> None:
     """Plot-ready long format: one (method, trial, metric, value) row per datum."""
-    _write_csv(path, ["method", "trial", "metric", "value"], _long_rows(reports))
+    _write_lines(path, ["method", "trial", "metric", "value"], _long_lines(reports))

@@ -1,14 +1,20 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 These deliberately re-derive results from first principles (path enumeration,
-full permutation scans) instead of calling the library code they check.
+full permutation scans) instead of calling the library code they check. The
+CSV writers at the end are the reference for `semsearch.metrics`'s: one
+`csv.writer` row per record, every field converted on every row.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import random
+
+from semsearch.metrics import DETECTION_KINDS, EPISODE_COLUMNS, SUMMARY_COLUMNS, BatchReport
+from semsearch.search_sim import Outcome
 
 
 def simple_path_distance(edges: list[tuple[str, str, float]], a: str, b: str) -> float:
@@ -121,3 +127,65 @@ def reference_episode(plan, objects, distance, host: str, tpr: float, fpr: float
         if mass >= 0.95 * plan.total_mass:
             return "lost", None, walked, meters
     return "exhausted", None, walked, meters
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_episode_csv(reports: list[BatchReport], path) -> None:
+    """One row per trial; `consumed` and `steps` are read off the trace."""
+    _write_csv(path, EPISODE_COLUMNS, (
+        (report.method, row.trial, row.start, row.host_object, row.target_label, row.seed,
+         row.outcome, f"{row.traversed_m:.10g}", f"{row.ideal_m:.10g}",
+         f"{row.spl_term:.10g}", "" if row.pe is None else f"{row.pe:.10g}",
+         int(row.pe is not None), f"{row.trace[-1].cumulative:.10g}" if row.trace else "0",
+         len(row.trace), row.error)
+        for report in reports for row in report.rows))
+
+
+def write_summary_csv(reports: list[BatchReport], path) -> None:
+    _write_csv(path, SUMMARY_COLUMNS, (
+        (r.method, r.episodes, f"{r.sr:.10g}", f"{r.spl:.10g}", f"{r.pe_mean:.10g}",
+         f"{r.pe_std:.10g}", r.pe_excluded)
+        for r in reports))
+
+
+def _step_rows(reports: list[BatchReport]):
+    for report in reports:
+        method = report.method
+        for row in report.rows:
+            trial, last = row.trial, len(row.trace) - 1
+            # Only the last step can have triggered: a detection ends the episode.
+            ending = DETECTION_KINDS.get(row.outcome, "none"), row.detected or ""
+            for index, step in enumerate(row.trace):
+                kind, instance_id = ending if index == last else ("none", "")
+                yield (method, trial, index, step.waypoint, f"{step.leg_meters:.10g}",
+                       f"{step.cumulative:.10g}", kind, instance_id)
+
+
+def write_steps_csv(reports: list[BatchReport], path) -> None:
+    """Episode traces, one record per visited waypoint."""
+    _write_csv(path, ["method", "trial", "step", "waypoint", "leg_m", "consumed",
+                      "detection", "instance_id"], _step_rows(reports))
+
+
+def _long_rows(reports: list[BatchReport]):
+    for report in reports:
+        method = report.method
+        for row in report.rows:
+            trial = row.trial
+            yield method, trial, "found", int(row.outcome == Outcome.FOUND.value)
+            yield method, trial, "traversed_m", f"{row.traversed_m:.10g}"
+            yield method, trial, "ideal_m", f"{row.ideal_m:.10g}"
+            yield method, trial, "spl_term", f"{row.spl_term:.10g}"
+            if row.pe is not None:
+                yield method, trial, "pe", f"{row.pe:.10g}"
+
+
+def write_long_csv(reports: list[BatchReport], path) -> None:
+    """Plot-ready long format: one (method, trial, metric, value) row per datum."""
+    _write_csv(path, ["method", "trial", "metric", "value"], _long_rows(reports))

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 
@@ -5,8 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semsearch import metrics
+from semsearch.affinity import TableScorer
+from semsearch.baselines import TableEmbedder, TableRoomScorer
+from semsearch.cli import METHODS, run_bench
 from semsearch.env_graph import GroundTruth
 from semsearch.metrics import (
+    EpisodeRow,
     build_report,
     episode_row,
     path_efficiency,
@@ -14,9 +21,16 @@ from semsearch.metrics import (
     spl_term,
     success_rate,
 )
-from semsearch.planner import SearchPlan
-from semsearch.search_sim import EpisodeResult, Outcome, SimulationParams, run_episode
+from semsearch.planner import PlanStep, SearchPlan
+from semsearch.search_sim import (
+    EpisodeResult,
+    Outcome,
+    PerceptionModel,
+    SimulationParams,
+    run_episode,
+)
 
+import oracles
 from conftest import make_env, random_connected_graph
 from oracles import simple_path_distance
 
@@ -184,3 +198,71 @@ class TestBatchReport:
         bigger = base + [failed()]
         assert success_rate(bigger) < success_rate(base)
         assert spl(bigger) < spl(base)
+
+
+CSV_WRITERS = ["write_episode_csv", "write_summary_csv", "write_steps_csv", "write_long_csv"]
+
+
+def csv_bytes(module, reports, tmp_path) -> dict[str, bytes]:
+    """The four files as `module`'s writers write `reports`."""
+    out = {}
+    for name in CSV_WRITERS:
+        path = tmp_path / f"{module.__name__}-{name}.csv"
+        getattr(module, name)(reports, path)
+        out[name] = path.read_bytes()
+    return out
+
+
+class TestCsvWriters:
+    """The format-once writers against the `csv.writer` reference in oracles."""
+
+    @pytest.mark.parametrize("tpr, fpr", [(1, 0), (0.8, 0.05)])
+    def test_farm_bench_bytes_match_the_reference(self, farm_cfg, tmp_path, tpr, fpr):
+        reports = run_bench(farm_cfg, list(METHODS), 300, 5,
+                            affinity_scorer=TableScorer(farm_cfg.scorer.table),
+                            room_scorer=TableRoomScorer(farm_cfg.room_scores),
+                            embedder=TableEmbedder(farm_cfg.embeddings),
+                            params=SimulationParams(PerceptionModel(tpr, fpr),
+                                                    seed=farm_cfg.params.seed))
+        assert csv_bytes(metrics, reports, tmp_path) == csv_bytes(oracles, reports, tmp_path)
+
+    def test_edge_cases_match_the_reference(self, tmp_path):
+        near = PlanStep('bin,"a"', 0.1, 2.5, 0.4, 0.4, 2.5)
+        far = PlanStep("w2", 0.2, -0.0, 0.6, 1.0, 2.5)
+        twin = PlanStep("w2", 0.2, 0.0, 0.6, 1.0, 2.5)  # equals `far`, but its leg prints 0
+        full = (near, far)  # one full-plan trace, shared by episodes that end apart
+        head = 'start,"1"', 'host "h",x', 'red, "ripe" apple'
+        rows = [
+            EpisodeRow(0, *head, 10, "found", 2.5, 2.5, 1.0, 1.0, trace=full, detected=head[1]),
+            EpisodeRow(1, *head, 11, "lost", 2.5, 2.5, 0.0, 1.0, trace=full),
+            EpisodeRow(2, *head, 12, "lost", 2.5, 2.5, -0.0, 1.0, trace=full),
+            EpisodeRow(3, *head, 13, "found_false", 0.0, -0.0, 0.0, None, trace=(near, twin),
+                       detected='obj,"x"'),
+            EpisodeRow(4, *head, 14, error='PlannerError: 17 scored, max "16"'),
+            EpisodeRow(5, *head, 15, error="line one\nline two"),
+            EpisodeRow(6, *head, 16, error="x}x\r"),
+            EpisodeRow(7, *head, 17, error="a\r\nb,c"),
+        ]
+        reports = [build_report('losae,"v2"', rows[:4]), build_report("room_search", rows[4:])]
+        written = csv_bytes(metrics, reports, tmp_path)
+        assert written == csv_bytes(oracles, reports, tmp_path)
+        episodes = list(csv.DictReader(io.StringIO(written["write_episode_csv"].decode())))
+        assert [ep["spl_term"] for ep in episodes[1:4]] == ["0", "-0", "0"]
+        assert episodes[3]["ideal_m"] == "-0"
+        assert episodes[5]["error"] == "line one\nline two"
+        steps = list(csv.DictReader(io.StringIO(written["write_steps_csv"].decode())))
+        assert [s["leg_m"] for s in steps] == ["2.5", "-0"] * 3 + ["2.5", "0"]
+
+    def test_field_matches_csv_writer(self):
+        """20,000 seeded random fields, in rows of 2-6, through `_field` and `csv.writer`."""
+        rng = random.Random(25)
+        alphabet = ["a", "Z", "7", ",", '"', "\r", "\n", " ", "\t", "'", "''", "}", "é"]
+        rows, fields = [], 0
+        while fields < 20_000:
+            rows.append(["".join(rng.choices(alphabet, k=rng.randint(0, 8)))
+                         for _ in range(rng.randint(2, 6))])
+            fields += len(rows[-1])
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert "".join(",".join(map(metrics._field, row)) + "\n" for row in rows) \
+            == expected.getvalue()
