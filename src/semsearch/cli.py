@@ -20,9 +20,11 @@ from typing import TYPE_CHECKING
 from . import baselines, metrics
 from .affinity import LLMScorer, TableScorer, normalize_label, score_distribution
 from .env_graph import GroundTruth, ScenarioConfig, load_scenario_path
-from .metrics import BatchReport, EpisodeRow, episode_row
+from .metrics import BatchReport, EpisodeRow, episode_fields
 from .planner import PlannerConfig, SearchPlan, plan_optimal, waypoint_scores
-from .search_sim import SimulationParams, TrialDraws, run_episode
+from .search_sim import SimulationParams, episode_endings, first_ending, trial_draws
+# Unused here; perfbench's tracer wraps `cli.run_episode` by name (ROADMAP item 4).
+from .search_sim import run_episode  # noqa: F401
 
 if TYPE_CHECKING:
     from .llm_gateway import LLMGateway
@@ -32,9 +34,6 @@ METHODS = ("losae", "room_search", "hottest_object", "hottest_waypoint")
 AFFINITY_METHODS = frozenset(("losae", "hottest_object", "hottest_waypoint"))
 
 Planner = Callable[[str, PlannerConfig], SearchPlan]
-
-# An EpisodeRow's fields from here on describe the episode, not the trial.
-EPISODE_FIELDS = EpisodeRow._fields.index("outcome")
 
 
 def child_seed(seed: int, trial: int) -> int:
@@ -109,60 +108,58 @@ def run_bench(cfg: ScenarioConfig, methods, trials: int, seed: int, *,
     """One BatchReport per method over the same `trials` sampled trials.
 
     Each trial's start, host object and detection draws are drawn once and
-    every method runs over them, so the comparison is paired. With no
-    fractional detection rate an episode depends only on its plan and host,
-    so each method runs one episode per (start, host) and its row serves every
-    trial that shares them. Failures are recorded, not raised: a trial that
-    raises is written as an error row and counts as a failed attempt in SR
-    and SPL. A start whose plan raised is planned once and its error reused.
+    every method runs over them, so the comparison is paired. Each method
+    lists the endings of each (start, host) it meets once, with their row
+    fields, and a trial's row takes the fields of the first ending its draws
+    trigger; rows that share an ending share its field objects. Failures are
+    recorded, not raised: a (start, host) whose plan or endings raised has the
+    error row as its one ending, and counts as a failed attempt in SR and SPL.
+    A start whose plan raised is planned once and its error reused.
     """
     if trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     env = cfg.env
     target = target or cfg.truth.target_label
     config = planner_config or PlannerConfig()
-    params = params or cfg.params
+    perception = (params or cfg.params).perception
     planners = compute_artifacts(cfg, methods, target, affinity_scorer,
                                  room_scorer, embedder)
-    reuse = not params.perception.fractional
     sampled = []
     for trial, (start, host) in enumerate(sample_pairs(env, trials, seed)):
         episode_seed = child_seed(seed, trial)
-        truth = GroundTruth(target_label=target, host_object=host)
-        sampled.append((trial, start, episode_seed, truth, TrialDraws(episode_seed)))
+        sampled.append((trial, start, host, episode_seed,
+                        trial_draws(env, perception, episode_seed)))
 
     reports = []
     for method in methods:
         plan_from = planners[method]
         plans: dict[str, SearchPlan | str] = {}  # a start's plan, or its planner's error
-        episodes: dict[tuple[str, str], tuple] = {}  # (start, host) -> episode fields
+        endings: dict[tuple[str, str], list] = {}  # (start, host) -> (position, rate, fields)
         rows = []
-        for trial, start, episode_seed, truth, draws in sampled:
-            key = start, truth.host_object
-            if reuse and key in episodes:
-                rows.append(EpisodeRow(trial, start, truth.host_object, target,
-                                       episode_seed, *episodes[key]))
-                continue
-            plan = plans.get(start)
-            if plan is None:
-                try:
-                    plan = plan_from(start, config)
-                except Exception as exc:
-                    plan = _error_text(exc)
-                plans[start] = plan
-            result, error = None, ""
-            if isinstance(plan, str):
-                error = plan
-            else:
-                try:
-                    result = run_episode(env, plan, truth, params, draws=draws)
-                except Exception as exc:
-                    error = _error_text(exc)
-            row = episode_row(trial, start, truth.host_object, target, episode_seed,
-                              result, error)
-            if reuse:
-                episodes[key] = row[EPISODE_FIELDS:]
-            rows.append(row)
+        for trial, start, host, episode_seed, draws in sampled:
+            entries = endings.get((start, host))
+            if entries is None:
+                plan = plans.get(start)
+                if plan is None:
+                    try:
+                        plan = plan_from(start, config)
+                    except Exception as exc:
+                        plan = _error_text(exc)
+                    plans[start] = plan
+                error = plan if isinstance(plan, str) else ""
+                if not error:
+                    truth = GroundTruth(target_label=target, host_object=host)
+                    try:
+                        entries = [(position, rate, episode_fields(result)) for
+                                   position, rate, result in episode_endings(env, plan, truth,
+                                                                             perception)]
+                    except Exception as exc:
+                        error = _error_text(exc)
+                if error:
+                    entries = [(0, 1.0, episode_fields(None, error))]
+                endings[start, host] = entries
+            rows.append(EpisodeRow(trial, start, host, target, episode_seed,
+                                   *first_ending(entries, draws)))
         reports.append(metrics.build_report(method, rows))
     return reports
 

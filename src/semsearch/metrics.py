@@ -1,11 +1,13 @@
 """Episode metrics and batch reports.
 
-Each attempted trial becomes one `EpisodeRow`, built once by `episode_row`:
-its outcome, SPL term and path efficiency are computed there and nowhere
-else. A batch's SR, SPL and PE are aggregated from its rows, and the four
-CSV writers format the same rows, each distinct episode and plan step once per
-call: rows that reuse one episode's objects share its text. `success_rate` and
-`spl` are the per-result definitions the row aggregates are checked against.
+An episode's report fields, its outcome, SPL term and path efficiency among
+them, are computed by `episode_fields` and nowhere else. Each attempted trial
+becomes one `EpisodeRow`: its trial's fields followed by its episode's, which
+`cli.run_bench` computes once per ending, so rows that end alike share them. A
+batch's SR, SPL and PE are aggregated from its rows, and the four CSV writers
+format the same rows, each distinct episode and plan step once per call: rows
+that share one episode's objects share its text. `success_rate` and `spl` are
+the per-result definitions the row aggregates are checked against.
 """
 
 from __future__ import annotations
@@ -84,14 +86,20 @@ class BatchReport:
     rows: tuple[EpisodeRow, ...]
 
 
+def episode_fields(result: EpisodeResult | None, error: str = "") -> tuple:
+    """An EpisodeRow's fields from `outcome` through `detected`: those of one
+    episode, or of a trial that raised `error` when `result` is None."""
+    if result is None:
+        return "error", 0.0, 0.0, 0.0, None, error, (), None
+    return (result.outcome.value, result.traversed_length, result.ideal_length,
+            spl_term(result), path_efficiency(result), "", result.steps, result.detected)
+
+
 def episode_row(trial: int, start: str, host_object: str, target_label: str, seed: int,
                 result: EpisodeResult | None, error: str = "") -> EpisodeRow:
     """The report row of one attempted trial; `result` is None when it raised."""
-    if result is None:
-        return EpisodeRow(trial, start, host_object, target_label, seed, error=error)
-    return EpisodeRow(trial, start, host_object, target_label, seed, result.outcome.value,
-                      result.traversed_length, result.ideal_length, spl_term(result),
-                      path_efficiency(result), trace=result.steps, detected=result.detected)
+    return EpisodeRow(trial, start, host_object, target_label, seed,
+                      *episode_fields(result, error))
 
 
 def build_report(method: str, rows: list[EpisodeRow]) -> BatchReport:

@@ -6,16 +6,17 @@ object whose detection ended it. Perception is parametric rather than visual: a
 true-positive rate for spotting the real target and a false-positive rate per
 inspected non-target object.
 
-An episode's randomness is one `TrialDraws` stream: draw j is the j-th
-`random()` of `random.Random(seed)`, and the j-th inspected object of the
+An episode is fixed by its plan, its host and its trial's draws: draw j is the
+j-th `random()` of `random.Random(seed)`, and the j-th inspected object of the
 episode, in plan order and then instance_id order, triggers when draw j is
 below its rate. A rate of 0 or 1 decides without reading its draw, though the
-object still takes its position, so an episode with no fractional rate seeds
-no generator. Episodes are fully deterministic given the seed.
+object still takes its position. So `episode_endings` lists, once per (plan,
+host), each object that can end the episode, and an episode is the first of
+them that its draws trigger (`first_ending`). With no fractional rate the list
+ends at its first entry, the draws are empty and no generator is seeded.
+Episodes are fully deterministic given the seed.
 
-`cli.run_bench` makes each trial's stream once and every method reads it.
-With no fractional rate it runs one episode per (method, start, host) and
-reuses it for every trial that shares them.
+`cli.run_bench` makes each trial's draws once and every method reads them.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
 if TYPE_CHECKING:
-    from .env_graph import Environment, GroundTruth, SeenObject
+    from .env_graph import Environment, GroundTruth
     from .planner import PlanStep, SearchPlan
 
 # An episode is lost once the inspected waypoints hold this share of the
@@ -79,91 +80,75 @@ class EpisodeResult:
     detected: str | None = None
 
 
-class TrialDraws:
-    """One trial's detection draws, read by position.
+# (draw position, rate, result): one way an episode can end; see episode_endings.
+Ending = tuple[int, float, EpisodeResult]
+T = TypeVar("T")
 
-    Position j holds the j-th `random()` of `random.Random(seed)`. The
-    generator is seeded on the first read and every value read is kept, so
-    episodes sharing a stream read the same draws and a stream never read
-    seeds nothing.
+
+def trial_draws(env: "Environment", perception: PerceptionModel, seed: int) -> Sequence[float]:
+    """One trial's detection draws: the first `len(env.objects)` values of
+    `random.Random(seed)`, or `()` when no rate is fractional and so no draw
+    is read. A plan repeats no waypoint, so no episode inspects more objects."""
+    if not perception.fractional:
+        return ()
+    draw = random.Random(seed).random
+    return [draw() for _ in env.objects]
+
+
+def episode_endings(env: "Environment", plan: "SearchPlan", truth: "GroundTruth",
+                    perception: PerceptionModel) -> list[Ending]:
+    """Every way the episode can end, in inspection order.
+
+    Each inspected object with a positive rate gives one `(position, rate,
+    result)` entry: the episode ends there when the object's draw, the one at
+    `position`, is below `rate`. The list stops at the first entry of rate 1:
+    an object detected for certain, or else the lost or exhausted end, placed
+    after the last inspected object. The lost check runs after each waypoint's
+    inspections, so the waypoint at which the threshold is crossed is still
+    inspected and nothing beyond it is.
     """
-
-    __slots__ = ("seed", "_rng", "_values")
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._rng: random.Random | None = None
-        self._values: list[float] = []
-
-    def __getitem__(self, position: int) -> float:
-        values = self._values
-        if position < len(values):
-            return values[position]
-        if self._rng is None:
-            self._rng = random.Random(self.seed)
-        draw = self._rng.random
-        while len(values) <= position:
-            values.append(draw())
-        return values[position]
-
-
-def inspect(objects: Iterable["SeenObject"], truth: "GroundTruth",
-            perception: PerceptionModel, draws: TrialDraws, first: int = 0) -> str | None:
-    """Decide each object in the given order; return the instance_id of the
-    first that triggers, or None.
-
-    The i-th object takes draw `first + i` and triggers when it is below the
-    object's rate; a rate of 0 or 1 decides without reading the draw. The
-    order must be instance_id order, as `Environment.objects_at` returns it.
-    """
-    for position, obj in enumerate(objects, first):
-        rate = (perception.true_positive_rate if obj.instance_id == truth.host_object
-                else perception.false_positive_rate)
-        if rate >= 1.0 or (rate > 0.0 and draws[position] < rate):
-            return obj.instance_id
-    return None
-
-
-def run_episode(env: "Environment", plan: "SearchPlan", truth: "GroundTruth",
-                params: SimulationParams, seed: int | None = None, *,
-                draws: TrialDraws | None = None) -> EpisodeResult:
-    """Inspect the plan's waypoints in order until found, lost, or exhausted.
-
-    The detections read `draws`, by default a new stream from `seed` (or
-    `params.seed`). The lost check runs after each waypoint's inspections, so
-    the waypoint at which the threshold is crossed is still inspected and
-    nothing beyond it is.
-    """
-    if draws is None:
-        draws = TrialDraws(seed if seed is not None else params.seed)
-
     host = env.objects.get(truth.host_object)
     if host is None:
         raise ValueError(f"ground truth host object {truth.host_object!r} is not in the environment")
-    host_waypoint = host.waypoint
-    ideal = env.distance(plan.start, host_waypoint)
+    ideal = env.distance(plan.start, host.waypoint)
+    tpr, fpr = perception.true_positive_rate, perception.false_positive_rate
+
+    def ending(outcome: Outcome, stop: int, detected: str | None = None) -> EpisodeResult:
+        steps = plan.per_step[:stop]
+        return EpisodeResult(outcome, steps[-1].traversed if steps else 0.0, ideal, steps,
+                             detected)
 
     lost_mass = LOST_THRESHOLD * plan.total_mass
-    stop = position = 0
-    detected = None
-    outcome = Outcome.EXHAUSTED
-
+    endings: list[Ending] = []
+    position = 0
     for stop, step in enumerate(plan.per_step, 1):
-        objects = env.objects_at(step.waypoint)
-        detected = inspect(objects, truth, params.perception, draws, position)
-        position += len(objects)
-        if detected is not None:
-            outcome = Outcome.FOUND if detected == truth.host_object else Outcome.FOUND_FALSE
-            break
+        for obj in env.objects_at(step.waypoint):
+            is_host = obj.instance_id == truth.host_object
+            rate = tpr if is_host else fpr
+            if rate > 0.0:
+                outcome = Outcome.FOUND if is_host else Outcome.FOUND_FALSE
+                endings.append((position, rate, ending(outcome, stop, obj.instance_id)))
+                if rate >= 1.0:
+                    return endings
+            position += 1
         if step.cumulative >= lost_mass:
-            outcome = Outcome.LOST
-            break
+            endings.append((position, 1.0, ending(Outcome.LOST, stop)))
+            return endings
+    endings.append((position, 1.0, ending(Outcome.EXHAUSTED, len(plan.per_step))))
+    return endings
 
-    steps = plan.per_step[:stop]
-    return EpisodeResult(
-        outcome=outcome,
-        traversed_length=steps[-1].traversed if steps else 0.0,
-        ideal_length=ideal,
-        steps=steps,
-        detected=detected,
-    )
+
+def first_ending(endings: Iterable[tuple[int, float, T]], draws: Sequence[float]) -> T:
+    """The last item of the first entry whose rate is 1 or whose draw is below
+    its rate; the entry of rate 1 that ends every list reads no draw."""
+    for position, rate, ending in endings:
+        if rate >= 1.0 or draws[position] < rate:
+            return ending
+
+
+def run_episode(env: "Environment", plan: "SearchPlan", truth: "GroundTruth",
+                params: SimulationParams, seed: int | None = None) -> EpisodeResult:
+    """Inspect the plan's waypoints in order until found, lost, or exhausted:
+    its endings scanned against the draws of `seed` (or `params.seed`)."""
+    draws = trial_draws(env, params.perception, seed if seed is not None else params.seed)
+    return first_ending(episode_endings(env, plan, truth, params.perception), draws)

@@ -380,6 +380,23 @@ class TestEpisodeDraws:
         assert set(seedings) <= {row.seed for row in reports[0].rows}
 
 
+class TestSharedEndings:
+    def test_rows_of_one_ending_share_its_fields(self, farm_cfg):
+        # A noisy row's fields are fixed by its (start, host) and the ending its
+        # draws pick, so rows that agree on those are one set of objects, and
+        # the CSV writers' identity memos format each ending once.
+        for report in farm_bench(farm_cfg, 2000, 0.8, 0.05):
+            first = {}
+            for row in report.rows:
+                key = row.start, row.host_object, row.outcome, len(row.trace), row.detected
+                shared = first.setdefault(key, row)
+                assert row.spl_term is shared.spl_term
+                assert row.pe is shared.pe
+                assert row.trace is shared.trace
+            # endings with the host at the start share the SPL constant 0.0 or 1.0
+            assert len({id(row.spl_term) for row in report.rows}) <= len(first) < 2000
+
+
 class TestModuleEntry:
     def test_python_m_semsearch_help(self):
         proc = subprocess.run([sys.executable, "-m", "semsearch", "--help"],

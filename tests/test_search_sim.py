@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,12 +9,12 @@ from semsearch.search_sim import (
     Outcome,
     PerceptionModel,
     SimulationParams,
-    TrialDraws,
-    inspect,
+    episode_endings,
     run_episode,
 )
 
-from conftest import make_env
+from conftest import make_env, random_connected_graph
+from oracles import reference_episode
 
 def four_stop_env():
     # start s, then a line of four object waypoints
@@ -152,34 +153,35 @@ class TestRunEpisode:
 
 
 class TestInspect:
-    def host(self):
-        return GroundTruth("drill", "obj-2")
-
     def test_host_with_certain_detection(self, line_env):
-        objs = [o for o in line_env.objects.values() if o.waypoint == "w3"]
+        plan = plan_for(line_env, "w1", {"w3": 1.0})
         truth = GroundTruth("drill", "obj-b")
-        out = inspect(objs, truth, PerceptionModel(1.0, 0.0), TrialDraws(1))
-        assert out == "obj-b"
+        endings = episode_endings(line_env, plan, truth, PerceptionModel(1.0, 0.0))
+        assert [(position, rate) for position, rate, _ in endings] == [(0, 1.0)]
+        result = endings[0][2]
+        assert (result.outcome, result.detected) == (Outcome.FOUND, "obj-b")
 
     def test_no_host_no_false_positives(self, line_env):
-        objs = [o for o in line_env.objects.values() if o.waypoint == "w1"]
+        plan = plan_for(line_env, "w2", {"w1": 1.0})
         truth = GroundTruth("drill", "obj-b")  # hosted elsewhere
-        out = inspect(objs, truth, PerceptionModel(1.0, 0.0), TrialDraws(1))
-        assert out is None
+        endings = episode_endings(line_env, plan, truth, PerceptionModel(1.0, 0.0))
+        # obj-a takes draw 0 but cannot trigger; only the lost end remains
+        assert [(position, rate) for position, rate, _ in endings] == [(1, 1.0)]
+        result = endings[0][2]
+        assert (result.outcome, result.detected) == (Outcome.LOST, None)
 
     def test_false_positive_rate_matches_closed_form(self):
-        # three non-host objects at fp=0.1: P(any trigger) = 1 - 0.9^3
+        # three non-host objects at fp=0.1 where the plan goes: P(any trigger) = 1 - 0.9^3
         env = make_env(
-            [("w1", 0, 0)], [],
-            [("obj-1", "rake", "w1"), ("obj-2", "hoe", "w1"), ("obj-3", "tarp", "w1")],
+            [("s", 0, 0), ("w1", 1, 0)], [("s", "w1", 1.0)],
+            [("obj-1", "rake", "w1"), ("obj-2", "hoe", "w1"), ("obj-3", "tarp", "w1"),
+             ("obj-host", "drill", "s")],
         )
-        objs = env.objects_at("w1")
-        truth = GroundTruth("drill", "obj-absent")
-        draws = TrialDraws(20240819)
-        hits = sum(
-            inspect(objs, truth, PerceptionModel(1.0, 0.1), draws, 3 * call) is not None
-            for call in range(10_000)
-        )
+        plan = plan_for(env, "s", {"w1": 1.0})
+        truth = GroundTruth("drill", "obj-host")
+        params = SimulationParams(perception=PerceptionModel(1.0, 0.1))
+        hits = sum(run_episode(env, plan, truth, params, seed=20240819 + seed).outcome
+                   is Outcome.FOUND_FALSE for seed in range(10_000))
         assert hits / 10_000 == pytest.approx(1 - 0.9 ** 3, abs=0.02)
 
     def test_instance_id_order(self):
@@ -187,9 +189,67 @@ class TestInspect:
             [("w1", 0, 0)], [],
             [("obj-b", "hoe", "w1"), ("obj-a", "rake", "w1")],
         )
-        truth = GroundTruth("drill", "obj-nothere")
-        out = inspect(env.objects_at("w1"), truth, PerceptionModel(1.0, 1.0), TrialDraws(1))
-        assert out == "obj-a"  # first in instance_id order
+        plan = plan_for(env, "w1", {"w1": 1.0})
+        params = SimulationParams(perception=PerceptionModel(1.0, 1.0))
+        result = run_episode(env, plan, GroundTruth("drill", "obj-b"), params)
+        assert result.detected == "obj-a"  # first in instance_id order
+
+
+# perfect, blind, certain false positives, and fractional rates
+ENDING_RATES = [(1.0, 0.0), (0.0, 0.0), (1.0, 1.0), (0.8, 0.05), (0.8, 0.0), (0.5, 0.3)]
+
+
+def small_cases(count=25):
+    """Seeded (env, plan, host, objects) on random maps with 0-3 objects per waypoint."""
+    rng = random.Random(27)
+    for _ in range(count):
+        waypoints, edges = random_connected_graph(rng, max_nodes=8)
+        ids = [w for w, _, _ in waypoints]
+        objects = [(f"obj-{w}-{i}", "thing", w) for w in ids for i in range(rng.randint(0, 3))]
+        if not objects:
+            objects = [(f"obj-{ids[0]}-0", "thing", ids[0])]
+        env = make_env(waypoints, edges, objects)
+        start = rng.choice(ids)
+        order = rng.sample(ids, rng.randint(0, len(ids)))
+        scores = {w: rng.uniform(0.01, 1.0) for w in order}
+        plan = plan_for(env, start, scores, order=order, total=sum(scores.values()))
+        host = rng.choice(objects)[0]
+        yield env, plan, host, [(i, w) for i, _, w in objects]
+
+
+class TestEpisodeEndings:
+    @pytest.mark.parametrize("tpr, fpr", ENDING_RATES)
+    def test_shape(self, tpr, fpr):
+        for env, plan, host, _ in small_cases():
+            endings = episode_endings(env, plan, GroundTruth("drill", host),
+                                      PerceptionModel(tpr, fpr))
+            positions = [position for position, _, _ in endings]
+            rates = [rate for _, rate, _ in endings]
+            assert positions == sorted(set(positions))  # strictly increasing
+            assert positions[-1] <= len(env.objects)
+            assert all(rate > 0.0 for rate in rates)
+            assert rates[-1] >= 1.0 and all(rate < 1.0 for rate in rates[:-1])
+
+    @pytest.mark.parametrize("tpr, fpr", ENDING_RATES)
+    def test_run_episode_matches_reference(self, tpr, fpr):
+        outcomes = set()
+        for env, plan, host, objects in small_cases():
+            params = SimulationParams(perception=PerceptionModel(tpr, fpr))
+            for seed in range(20):
+                result = run_episode(env, plan, GroundTruth("drill", host), params, seed=seed)
+                outcome, detected, walked, meters = reference_episode(
+                    plan, objects, env.distance, host, tpr, fpr, seed)
+                assert (result.outcome.value, result.detected) == (outcome, detected)
+                assert [step.waypoint for step in result.steps] == walked
+                assert math.isclose(result.traversed_length, meters, rel_tol=1e-9, abs_tol=1e-9)
+                outcomes.add(outcome)
+        assert len(outcomes) > 1  # the cases reach more than one kind of ending
+
+    def test_missing_host_raises(self, line_env):
+        plan = plan_for(line_env, "w1", {"w3": 1.0})
+        with pytest.raises(ValueError, match="obj-missing"):
+            episode_endings(line_env, plan, GroundTruth("drill", "obj-missing"),
+                            PerceptionModel())
 
 
 class TestParams:
