@@ -9,15 +9,16 @@ network calls.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
+import ssl
 import threading
 import time
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-
-import requests
+from urllib.parse import urlsplit
 
 try:
     import fcntl
@@ -34,6 +35,13 @@ BACKOFF_CAP_S = 30.0
 ENV_API_KEY = ("SEMSEARCH_API_KEY", "OPENAI_API_KEY")
 ENV_BASE_URL = ("SEMSEARCH_BASE_URL", "OPENAI_BASE_URL")
 ENV_MODEL = ("SEMSEARCH_MODEL",)
+
+# What a send or read on a reused keep-alive connection raises when the server
+# closed it while it sat idle. Such a request is resent once on a fresh
+# connection, spending no attempt; the same errors on a fresh connection are an
+# ordinary failed attempt.
+DROPPED_KEEP_ALIVE = (http.client.RemoteDisconnected, ConnectionResetError,
+                      BrokenPipeError, ConnectionAbortedError)
 
 
 class GatewayError(Exception):
@@ -236,13 +244,26 @@ class GatewayConfig:
 
 
 class LLMGateway:
-    """Thread-safe client: cache lookup first, then rate-limited POST with retries."""
+    """Thread-safe client: cache lookup first, then rate-limited POST with retries.
+
+    Requests go over one keep-alive connection, opened on first use and held
+    under a lock, so one request is in flight at a time.
+    """
 
     def __init__(self, config: GatewayConfig, cache: ResponseCache | None = None):
+        url = urlsplit(config.base_url)
+        try:
+            self._address = url.hostname, url.port
+        except ValueError:  # a port that is not a number in 0-65535
+            self._address = None, None
+        if url.scheme not in ("http", "https") or not self._address[0]:
+            raise ValueError(f"base URL {config.base_url!r} is not an http or https URL with a host")
         self.config = config
         self.cache = cache
-        self._url = config.base_url.rstrip("/") + "/chat/completions"
-        self._session = requests.Session()
+        self._https = url.scheme == "https"
+        self._path = url.path.rstrip("/") + "/chat/completions"
+        self._connection: http.client.HTTPConnection | None = None
+        self._connection_lock = threading.Lock()
         self._bucket = TokenBucket(config.requests_per_second, config.burst)
 
     # -- chat completions ---------------------------------------------------
@@ -308,31 +329,70 @@ class LLMGateway:
 
     # -- transport ----------------------------------------------------------
 
+    def close(self) -> None:
+        """Close the keep-alive connection; a later request opens a new one."""
+        with self._connection_lock:
+            if self._connection is not None:
+                self._connection.close()
+
+    def _connect(self) -> http.client.HTTPConnection:
+        host, port = self._address
+        if self._https:
+            return http.client.HTTPSConnection(host, port, timeout=self.config.timeout_s,
+                                               context=ssl.create_default_context())
+        return http.client.HTTPConnection(host, port, timeout=self.config.timeout_s)
+
+    def _exchange(self, payload: bytes, headers: dict) -> tuple[int, bytes]:
+        self._connection.request("POST", self._path, body=payload, headers=headers)
+        response = self._connection.getresponse()
+        return response.status, response.read()
+
+    def _post(self, payload: bytes, headers: dict) -> tuple[int, bytes]:
+        """(status, body) of one POST; a dropped keep-alive is reopened once."""
+        with self._connection_lock:
+            if self._connection is None:
+                self._connection = self._connect()
+            # After a reply that closed the connection, sock is None and the
+            # next request connects afresh.
+            reused = self._connection.sock is not None
+            try:
+                try:
+                    return self._exchange(payload, headers)
+                except DROPPED_KEEP_ALIVE:
+                    if not reused:
+                        raise
+                    self._connection.close()
+                    return self._exchange(payload, headers)
+            except BaseException:
+                # A half-sent request or half-read reply leaves the connection
+                # unusable; the next attempt opens a new one.
+                self._connection.close()
+                raise
+
     def _post_with_retries(self, body: dict) -> tuple[dict, float]:
         headers = {"Authorization": f"Bearer {self.config.api_key}", "Content-Type": "application/json"}
+        payload = json.dumps(body, allow_nan=False).encode("utf-8")
         last_failure = "no attempt made"
         for attempt in range(self.config.max_attempts):
             self._bucket.acquire()
             started = time.monotonic()
             try:
-                response = self._session.post(
-                    self._url, json=body, headers=headers, timeout=self.config.timeout_s
-                )
-            except requests.RequestException as exc:
+                status, data = self._post(payload, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_failure = f"transport error: {exc}"
             else:
                 latency_ms = (time.monotonic() - started) * 1000.0
-                if response.status_code == 200:
+                if status == 200:
                     try:
-                        return response.json(), latency_ms
+                        return json.loads(data), latency_ms
                     except ValueError as exc:
                         raise MalformedResponseError(f"response body is not JSON: {exc}") from exc
-                if response.status_code == 429 or response.status_code >= 500:
-                    last_failure = f"HTTP {response.status_code}"
-                elif response.status_code in (401, 403):
-                    raise MissingCredentialError(f"endpoint rejected credential (HTTP {response.status_code})")
+                if status == 429 or status >= 500:
+                    last_failure = f"HTTP {status}"
+                elif status in (401, 403):
+                    raise MissingCredentialError(f"endpoint rejected credential (HTTP {status})")
                 else:
-                    raise GatewayError(f"HTTP {response.status_code}: {response.text[:300]}")
+                    raise GatewayError(f"HTTP {status}: {data.decode('utf-8', 'replace')[:300]}")
             if attempt < self.config.max_attempts - 1:
                 # 0.5, 1, 2, 4 ... seconds by default, capped; nondecreasing.
                 time.sleep(min(BACKOFF_CAP_S, self.config.backoff_base_s * 2 ** attempt))

@@ -37,27 +37,47 @@ def no_logprobs_completion(answer="the shelf"):
 class StubServer:
     """Serves scripted responses in order; repeats the last one when exhausted.
 
-    Script entries: ("json", payload), ("status", code), ("raw", text).
+    Script entries: ("json", payload), ("status", code), ("raw", text),
+    ("delay", seconds), which waits that long and then serves ok_completion(),
+    and ("hangup", None), which closes the connection without a reply.
     With dynamic=True an unscripted completion derives its logprob from a
     digest of the request's user text, so distinct prompts get distinct stable
     scores.
-    Records (monotonic_time, path, parsed_body) per request.
+    With keep_alive=True the server speaks HTTP/1.1 and keeps each connection
+    open for the next request; with drop_after_reply=True as well, it closes
+    each connection after its first reply without saying so in the reply.
+    Records (monotonic_time, path, parsed_body) per request in `requests`, the
+    raw body bytes in `bodies`, and the count of accepted connections.
     """
 
-    def __init__(self, script=None, dynamic=False):
+    def __init__(self, script=None, dynamic=False, keep_alive=False, drop_after_reply=False):
         self.script = deque(script or [])
         self.default = ("json", ok_completion())
         self.dynamic = dynamic
         self.requests: list[tuple[float, str, dict]] = []
+        self.bodies: list[bytes] = []
+        self.connections = 0
         self._lock = threading.Lock()
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+            # Buffered, so each reply leaves in one send: headers and body in
+            # two would wait out the client's delayed ACK on a kept connection.
+            wbufsize = -1
+
+            def setup(self):
+                super().setup()
+                with server._lock:
+                    server.connections += 1
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
-                body = json.loads(self.rfile.read(length) or b"{}")
+                raw = self.rfile.read(length)
+                body = json.loads(raw or b"{}")
                 with server._lock:
                     server.requests.append((time.monotonic(), self.path, body))
+                    server.bodies.append(raw)
                     if server.script:
                         entry = server.script.popleft()
                     elif server.dynamic:
@@ -67,20 +87,26 @@ class StubServer:
                     else:
                         entry = server.default
                 kind, payload = entry
+                if kind == "hangup":
+                    self.close_connection = True
+                    return
+                if kind == "delay":
+                    # An Event wait, not time.sleep, which tests may replace.
+                    # The client may have given up, so the connection ends here.
+                    threading.Event().wait(payload)
+                    kind, payload = "json", ok_completion()
+                    self.close_connection = True
                 if kind == "status":
-                    self.send_response(payload)
-                    self.end_headers()
-                    return
-                if kind == "raw":
-                    data = payload.encode("utf-8")
-                    self.send_response(200)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(data)))
-                    self.end_headers()
-                    self.wfile.write(data)
-                    return
-                data = json.dumps(payload).encode("utf-8")
-                self.send_response(200)
+                    self.reply(payload, b"")
+                elif kind == "raw":
+                    self.reply(200, payload.encode("utf-8"))
+                else:
+                    self.reply(200, json.dumps(payload).encode("utf-8"))
+                if drop_after_reply:
+                    self.close_connection = True
+
+            def reply(self, status, data):
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()

@@ -416,6 +416,30 @@ class TestModuleEntry:
         assert proc.stdout.strip() == "[]"
 
 
+    def test_importing_the_cli_loads_no_gateway(self):
+        code = ("import sys, semsearch.cli; "
+                "print([m for m in ('semsearch.llm_gateway', 'http.client') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_llm_scorer_needs_no_requests(self, farm_cfg):
+        from stub_server import StubServer
+
+        code = ("import sys; sys.modules['requests'] = None; from semsearch.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        with StubServer(dynamic=True) as server:
+            env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
+                   "SEMSEARCH_BASE_URL": server.base_url, "SEMSEARCH_API_KEY": "test-key"}
+            proc = subprocess.run([sys.executable, "-c", code, "score", "--scenario",
+                                   str(FARM_SCENARIO), "--scorer", "llm"],
+                                  cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert len(server.requests) == len(farm_cfg.env.labels())
+
+
 class TestBench:
     def test_paired_sampling_across_methods(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -2,6 +2,8 @@ import json
 import math
 import multiprocessing
 import os
+import re
+from contextlib import closing
 
 import pytest
 
@@ -136,6 +138,70 @@ class TestComplete:
             scorer = LLMScorer(LLMGateway(make_config(server.base_url)))
             with pytest.raises(ScorerError, match=r"bad token logprob entry: .* is not <= 0 \(nan\)"):
                 score_distribution(scorer, ["screwdriver"], "drill")
+
+
+class TestTransport:
+    """One keep-alive connection, reopened once when the server dropped it."""
+
+    @staticmethod
+    def ask_ten(base_url):
+        prompts = [f"prompt number {i}" for i in range(10)]
+        with closing(LLMGateway(make_config(base_url))) as gateway:
+            for text in prompts:
+                assert gateway.complete(req(user_text=text)).answer_text == text[:16]
+        return prompts
+
+    def test_sequential_misses_share_one_connection(self, no_sleep):
+        with StubServer(dynamic=True, keep_alive=True) as server:
+            self.ask_ten(server.base_url)
+            assert len(server.requests) == 10
+            assert server.connections == 1
+        assert no_sleep == []
+
+    def test_dropped_keep_alive_is_reopened_without_a_retry(self, no_sleep):
+        with StubServer(dynamic=True, keep_alive=True, drop_after_reply=True) as server:
+            prompts = self.ask_ten(server.base_url)
+            asked = [body["messages"][-1]["content"] for _, _, body in server.requests]
+            assert server.connections == 10
+        assert asked == prompts  # each call reached the server exactly once
+        assert no_sleep == []
+
+    def test_hangup_on_a_fresh_connection_is_one_failed_attempt(self, no_sleep):
+        with StubServer([("hangup", None), ("json", ok_completion())], keep_alive=True) as server:
+            with closing(LLMGateway(make_config(server.base_url))) as gateway:
+                result = gateway.complete(req())
+            assert len(server.requests) == 2
+        assert result.answer_text == "the shelf"
+        assert no_sleep == [0.01]
+
+    def test_read_timeout_on_a_reused_connection_is_one_failed_attempt(self, no_sleep):
+        script = [("json", ok_completion()), ("delay", 0.5), ("json", ok_completion())]
+        with StubServer(script, keep_alive=True) as server:
+            with closing(LLMGateway(make_config(server.base_url, timeout_s=0.2))) as gateway:
+                gateway.complete(req(user_text="first"))
+                result = gateway.complete(req(user_text="second"))
+            assert len(server.requests) == 3
+            assert server.connections == 2
+        assert result.answer_text == "the shelf"
+        assert no_sleep == [0.01]  # the timed-out request was resent after one backoff
+
+    def test_request_body_bytes(self):
+        # json.dumps' default separators, byte for byte the body earlier versions sent.
+        request = req()
+        with StubServer() as server:
+            LLMGateway(make_config(server.base_url)).complete(request)
+            (raw,) = server.bodies
+        body = {"model": "stub-model", "temperature": 0.0, "max_tokens": 64, "logprobs": True,
+                "messages": [{"role": "system", "content": "sys"},
+                             {"role": "user", "content": request.user_text}]}
+        assert raw == json.dumps(body, allow_nan=False).encode()
+
+    @pytest.mark.parametrize("base_url", ["localhost:8080", "ftp://host/v1", "http://",
+                                          "http://host:port/v1"])
+    def test_malformed_base_url_is_an_error(self, no_sleep, base_url):
+        with pytest.raises(ValueError, match=re.escape(repr(base_url))):
+            LLMGateway(make_config(base_url))
+        assert no_sleep == []
 
 
 class TestCache:
