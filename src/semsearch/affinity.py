@@ -1,10 +1,11 @@
 """Semantic affinity scoring: turns per-label scorer output into a normalized
 probability distribution over seen-object labels for one target label.
 
-The LLM path prompts with exactly one seen label at a time and converts the
-completion's token log-probabilities into a raw score via exp(mean logprob).
-The table path looks raw scores up directly, which keeps tests and offline
-benchmarks fully deterministic.
+The LLM path prompts with exactly one seen label per request and converts the
+completion's token log-probabilities into a raw score via exp(mean logprob);
+a distribution's requests go to the gateway as one batch. The table path
+looks raw scores up directly, which keeps tests and offline benchmarks fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:
@@ -109,6 +111,22 @@ class AffinityScorer(Protocol):
     def score(self, seen_label: str, target_label: str) -> float: ...
 
 
+def _label_failed(label: str, exc: Exception) -> ScorerError:
+    return ScorerError(f"scorer failed for seen label {label!r}: {exc}")
+
+
+def score_each(scorer: AffinityScorer, seen_labels: list[str], target_label: str) -> list[float]:
+    """`scorer.score` once per label, in order: the batch call of a scorer that
+    answers one label at a time. A failure is a ScorerError naming its label."""
+    values = []
+    for label in seen_labels:
+        try:
+            values.append(float(scorer.score(label, target_label)))
+        except Exception as exc:
+            raise _label_failed(label, exc) from exc
+    return values
+
+
 class TableScorer:
     """Raw scores from a declared table keyed 'name|target', plus an optional
     'default' for absent pairs.
@@ -122,6 +140,8 @@ class TableScorer:
     KEY = "seen|target"
     CAP = 1.0
     MISSING = MissingAffinityError
+
+    score_all = score_each
 
     def __init__(self, table: dict):
         self.default: float | None = None
@@ -167,24 +187,34 @@ class LLMScorer:
         self.gateway = gateway
         self.answers: dict[tuple[str, str], str] = {}
 
-    def score(self, seen_label: str, target_label: str) -> float:
+    def score_all(self, seen_labels: list[str], target_label: str) -> list[float]:
+        """The labels' prompts as one gateway batch: hits are answered first,
+        misses sent concurrently. A failure is a ScorerError naming the first
+        failing label."""
         from .llm_gateway import CompletionRequest
 
-        result = self.gateway.complete(CompletionRequest(
-            system_text=SYSTEM_PROMPT,
-            user_text=build_prompt(seen_label, target_label),
-            model=self.gateway.config.model,
-            max_tokens=64,
-        ))
-        self.answers[(normalize_label(seen_label), normalize_label(target_label))] = result.answer_text
-        return aggregate_logprobs(result.token_logprobs)
+        requests = []
+        for label in seen_labels:
+            try:
+                user_text = build_prompt(label, target_label)
+            except ValueError as exc:
+                raise _label_failed(label, exc) from exc
+            requests.append(CompletionRequest(system_text=SYSTEM_PROMPT, user_text=user_text,
+                                              model=self.gateway.config.model, max_tokens=64))
+        try:
+            results = self.gateway.complete_all(requests)
+        except Exception as exc:
+            raise _label_failed(seen_labels[getattr(exc, "request_index", 0)], exc) from exc
+        target = normalize_label(target_label)
+        for label, result in zip(seen_labels, results):
+            self.answers[(normalize_label(label), target)] = result.answer_text
+        return [aggregate_logprobs(result.token_logprobs) for result in results]
+
+    def score(self, seen_label: str, target_label: str) -> float:
+        return self.score_all([seen_label], target_label)[0]
 
 
-def _raw_score(scorer: AffinityScorer, seen_label: str, target_label: str) -> float:
-    try:
-        value = float(scorer.score(seen_label, target_label))
-    except Exception as exc:
-        raise ScorerError(f"scorer failed for seen label {seen_label!r}: {exc}") from exc
+def _checked(value: float, seen_label: str) -> float:
     if not math.isfinite(value):
         raise ScorerError(f"scorer returned non-finite raw score {value} for {seen_label!r}")
     if value < 0:
@@ -194,7 +224,11 @@ def _raw_score(scorer: AffinityScorer, seen_label: str, target_label: str) -> fl
 
 def score_distribution(scorer: AffinityScorer, seen_labels: list[str],
                        target_label: str) -> AffinityDistribution:
-    """Query the scorer once per seen label, in order, and normalize the raw values."""
+    """Ask the scorer for every seen label in one batch call and normalize the
+    raw values, kept in label order.
+
+    The batch call is the scorer's `score_all`, or `score_each` for a scorer
+    that has only `score`."""
     if not seen_labels:
         raise ValueError("seen_labels is empty")
     cleaned = [label.strip() for label in seen_labels]
@@ -204,7 +238,9 @@ def score_distribution(scorer: AffinityScorer, seen_labels: list[str],
         raise ValueError(f"seen_labels contains duplicates after normalization: {dupes}")
 
     target = target_label.strip()
-    raw = {key: _raw_score(scorer, label, target) for key, label in zip(keys, cleaned)}
+    score_all = getattr(scorer, "score_all", None) or partial(score_each, scorer)
+    values = score_all(cleaned, target)
+    raw = {key: _checked(value, label) for key, label, value in zip(keys, cleaned, values)}
     return normalized_distribution(raw, target)
 
 

@@ -2,7 +2,9 @@
 
 Adds a persistent content-addressed response cache, bounded retries with
 exponential backoff, and a token-bucket rate limit so batch scoring stays
-polite to hosted APIs. With a warm cache a whole benchmark run makes zero
+polite to hosted APIs. A batch of requests is answered from the cache first,
+in the caller's thread; its misses are sent concurrently, at most
+MAX_IN_FLIGHT at a time. With a warm cache a whole benchmark run makes zero
 network calls.
 """
 
@@ -16,6 +18,7 @@ import ssl
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -31,6 +34,10 @@ DEFAULT_MODEL = "gpt-4o-mini"
 # at temperature 0; the value is part of each body and cache key.
 TEMPERATURE = 0.0
 BACKOFF_CAP_S = 30.0
+# Most misses of one batch in flight at once, and most idle keep-alive
+# connections kept. It matches GatewayConfig's default burst and stays under
+# the listen backlog of 5 that Python's socketserver gives a local endpoint.
+MAX_IN_FLIGHT = 4
 
 ENV_API_KEY = ("SEMSEARCH_API_KEY", "OPENAI_API_KEY")
 ENV_BASE_URL = ("SEMSEARCH_BASE_URL", "OPENAI_BASE_URL")
@@ -246,8 +253,22 @@ class GatewayConfig:
 class LLMGateway:
     """Thread-safe client: cache lookup first, then rate-limited POST with retries.
 
-    Requests go over one keep-alive connection, opened on first use and held
-    under a lock, so one request is in flight at a time.
+    `complete_all` looks every request up in the cache in the calling thread,
+    so a batch of hits starts no thread and opens no connection. Its misses go
+    out at most MAX_IN_FLIGHT at a time: one in the calling thread, two or more
+    through a thread pool that lives for that call. Each keeps its own
+    token-bucket acquire, retries and backoff, so the order requests reach the
+    endpoint is not fixed. The replies are stored in the cache in request
+    order, back in the calling thread, so a fresh cache file's lines keep that
+    order.
+
+    Requests go over keep-alive connections kept on a stack of at most
+    MAX_IN_FLIGHT idle ones: a request takes an idle connection or opens one,
+    puts it back after a clean exchange and closes it on any failure.
+
+    Counters, plain ints updated under the gateway's lock: `lookups`, `hits`
+    and `misses` of the cache, `posts` (one per attempt), `reopens` of dropped
+    keep-alive connections and `connections_opened`.
     """
 
     def __init__(self, config: GatewayConfig, cache: ResponseCache | None = None):
@@ -262,31 +283,101 @@ class LLMGateway:
         self.cache = cache
         self._https = url.scheme == "https"
         self._path = url.path.rstrip("/") + "/chat/completions"
-        self._connection: http.client.HTTPConnection | None = None
-        self._connection_lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
         self._bucket = TokenBucket(config.requests_per_second, config.burst)
+        self.lookups = self.hits = self.misses = 0
+        self.posts = self.reopens = self.connections_opened = 0
 
     # -- chat completions ---------------------------------------------------
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        started = time.monotonic()
-        key = request_digest(request.model, TEMPERATURE, request.system_text, request.user_text)
-        if self.cache is not None:
-            hit = self.cache.lookup(key)
-            if hit is not None:
-                # An entry this version rejects (say, a NaN logprob written by
-                # an older one) is a miss: the reply fetched below is appended
-                # and wins over it on the next load.
-                try:
-                    result = _payload_to_result(hit)
-                except (KeyError, TypeError, ValueError):
-                    pass
-                else:
-                    return replace(result, latency_ms=(time.monotonic() - started) * 1000.0)
+        return self.complete_all([request])[0]
+
+    def complete_all(self, requests: list[CompletionRequest]) -> list[CompletionResult]:
+        """One result per request, in order.
+
+        A request repeated in the batch is sent once. If any miss fails, this
+        raises the exception of the first failing request in request order,
+        with that request's position as its `request_index` attribute. It does
+        so only after every request in flight has ended, and the replies that
+        did arrive are cached first. Once a miss has failed, misses not yet
+        sent are not sent.
+        """
+        results: list[CompletionResult | None] = [None] * len(requests)
+        pending: dict[str, list[int]] = {}  # digest of each distinct miss -> its positions
+        hits = 0
+        for i, request in enumerate(requests):
+            started = time.monotonic()
+            key = request_digest(request.model, TEMPERATURE, request.system_text, request.user_text)
+            if key in pending:
+                pending[key].append(i)
+                continue
+            hit = self._lookup(key)
+            if hit is None:
+                pending[key] = [i]
+            else:
+                hits += 1
+                results[i] = replace(hit, latency_ms=(time.monotonic() - started) * 1000.0)
+        with self._lock:
+            self.lookups += hits + len(pending)
+            self.hits += hits
+            self.misses += len(pending)
+        if not pending:
+            return results
         if not self.config.api_key:
-            raise MissingCredentialError(
-                "no API key configured; set " + " or ".join(ENV_API_KEY)
-            )
+            error = MissingCredentialError("no API key configured; set " + " or ".join(ENV_API_KEY))
+            error.request_index = next(iter(pending.values()))[0]
+            raise error
+        failure = None
+        outcomes = self._fetch_all([requests[where[0]] for where in pending.values()])
+        for (key, where), outcome in zip(pending.items(), outcomes):
+            if isinstance(outcome, CompletionResult):
+                if self.cache is not None:
+                    self.cache.store(key, _result_to_payload(outcome))
+                for i in where:
+                    results[i] = outcome
+            elif isinstance(outcome, Exception) and failure is None:
+                failure = outcome
+                failure.request_index = where[0]
+        if failure is not None:
+            raise failure
+        return results
+
+    def _lookup(self, key: str) -> CompletionResult | None:
+        if self.cache is None:
+            return None
+        hit = self.cache.lookup(key)
+        if hit is None:
+            return None
+        # An entry this version rejects (say, a NaN logprob written by an
+        # older one) is a miss: the reply fetched for it is appended and wins
+        # over it on the next load.
+        try:
+            return _payload_to_result(hit)
+        except (KeyError, TypeError, ValueError):
+            return None
+
+    def _fetch_all(self, requests: list[CompletionRequest]) -> list:
+        """Per request, its CompletionResult, the exception it failed with, or
+        None if it was not sent because another had already failed."""
+        failed = threading.Event()
+
+        def fetch(request: CompletionRequest):
+            if failed.is_set():
+                return None
+            try:
+                return self._fetch(request)
+            except Exception as exc:
+                failed.set()
+                return exc
+
+        if len(requests) == 1:
+            return [fetch(requests[0])]
+        with ThreadPoolExecutor(max_workers=min(MAX_IN_FLIGHT, len(requests))) as pool:
+            return list(pool.map(fetch, requests))
+
+    def _fetch(self, request: CompletionRequest) -> CompletionResult:
         body = {
             "model": request.model,
             "temperature": TEMPERATURE,
@@ -298,10 +389,7 @@ class LLMGateway:
             ],
         }
         data, latency_ms = self._post_with_retries(body)
-        result = self._parse_completion(data, latency_ms)
-        if self.cache is not None:
-            self.cache.store(key, _result_to_payload(result))
-        return result
+        return self._parse_completion(data, latency_ms)
 
     def _parse_completion(self, data: dict, latency_ms: float) -> CompletionResult:
         try:
@@ -330,44 +418,59 @@ class LLMGateway:
     # -- transport ----------------------------------------------------------
 
     def close(self) -> None:
-        """Close the keep-alive connection; a later request opens a new one."""
-        with self._connection_lock:
-            if self._connection is not None:
-                self._connection.close()
+        """Close the idle keep-alive connections; a later request opens a new one."""
+        with self._lock:
+            while self._idle:
+                self._idle.pop().close()
 
     def _connect(self) -> http.client.HTTPConnection:
         host, port = self._address
+        with self._lock:
+            self.connections_opened += 1
         if self._https:
             return http.client.HTTPSConnection(host, port, timeout=self.config.timeout_s,
                                                context=ssl.create_default_context())
         return http.client.HTTPConnection(host, port, timeout=self.config.timeout_s)
 
-    def _exchange(self, payload: bytes, headers: dict) -> tuple[int, bytes]:
-        self._connection.request("POST", self._path, body=payload, headers=headers)
-        response = self._connection.getresponse()
+    def _exchange(self, connection: http.client.HTTPConnection, payload: bytes,
+                  headers: dict) -> tuple[int, bytes]:
+        connection.request("POST", self._path, body=payload, headers=headers)
+        response = connection.getresponse()
         return response.status, response.read()
 
     def _post(self, payload: bytes, headers: dict) -> tuple[int, bytes]:
         """(status, body) of one POST; a dropped keep-alive is reopened once."""
-        with self._connection_lock:
-            if self._connection is None:
-                self._connection = self._connect()
-            # After a reply that closed the connection, sock is None and the
-            # next request connects afresh.
-            reused = self._connection.sock is not None
+        with self._lock:
+            self.posts += 1
+            connection = self._idle.pop() if self._idle else None
+        reused = connection is not None
+        if connection is None:
+            connection = self._connect()
+        try:
             try:
-                try:
-                    return self._exchange(payload, headers)
-                except DROPPED_KEEP_ALIVE:
-                    if not reused:
-                        raise
-                    self._connection.close()
-                    return self._exchange(payload, headers)
-            except BaseException:
-                # A half-sent request or half-read reply leaves the connection
-                # unusable; the next attempt opens a new one.
-                self._connection.close()
-                raise
+                reply = self._exchange(connection, payload, headers)
+            except DROPPED_KEEP_ALIVE:
+                if not reused:
+                    raise
+                connection.close()
+                with self._lock:
+                    self.reopens += 1
+                    self.connections_opened += 1
+                # A closed HTTPConnection connects afresh on its next request.
+                reply = self._exchange(connection, payload, headers)
+        except BaseException:
+            # A half-sent request or half-read reply leaves the connection
+            # unusable; the next attempt opens a new one.
+            connection.close()
+            raise
+        with self._lock:
+            # After a reply that closed the connection, sock is None: it is
+            # dropped rather than kept.
+            if connection.sock is not None and len(self._idle) < MAX_IN_FLIGHT:
+                self._idle.append(connection)
+                return reply
+        connection.close()
+        return reply
 
     def _post_with_retries(self, body: dict) -> tuple[dict, float]:
         headers = {"Authorization": f"Bearer {self.config.api_key}", "Content-Type": "application/json"}

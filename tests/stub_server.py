@@ -46,17 +46,23 @@ class StubServer:
     With keep_alive=True the server speaks HTTP/1.1 and keeps each connection
     open for the next request; with drop_after_reply=True as well, it closes
     each connection after its first reply without saying so in the reply.
+    With delay set, each request waits delay(user text) seconds before its
+    reply; a request whose user text is a key of `statuses` is answered with
+    that status instead of its script entry.
     Records (monotonic_time, path, parsed_body) per request in `requests`, the
-    raw body bytes in `bodies`, and the count of accepted connections.
+    raw body bytes in `bodies`, the count of accepted connections, and in
+    `max_in_flight` the most requests it was answering at once.
     """
 
-    def __init__(self, script=None, dynamic=False, keep_alive=False, drop_after_reply=False):
+    def __init__(self, script=None, dynamic=False, keep_alive=False, drop_after_reply=False,
+                 delay=None, statuses=None):
         self.script = deque(script or [])
         self.default = ("json", ok_completion())
         self.dynamic = dynamic
         self.requests: list[tuple[float, str, dict]] = []
         self.bodies: list[bytes] = []
         self.connections = 0
+        self.in_flight = self.max_in_flight = 0
         self._lock = threading.Lock()
         server = self
 
@@ -72,21 +78,43 @@ class StubServer:
                     server.connections += 1
 
             def do_POST(self):
+                with server._lock:
+                    server.in_flight += 1
+                    server.max_in_flight = max(server.max_in_flight, server.in_flight)
+                self.counted = True
+                try:
+                    self.answer()
+                finally:
+                    self.uncount()
+
+            def uncount(self):
+                # Before the reply leaves, so a client cannot send its next
+                # request while this one still counts.
+                if self.counted:
+                    self.counted = False
+                    with server._lock:
+                        server.in_flight -= 1
+
+            def answer(self):
                 length = int(self.headers.get("Content-Length", "0"))
                 raw = self.rfile.read(length)
                 body = json.loads(raw or b"{}")
+                user = body.get("messages", [{}, {}])[-1].get("content", "")
                 with server._lock:
                     server.requests.append((time.monotonic(), self.path, body))
                     server.bodies.append(raw)
                     if server.script:
                         entry = server.script.popleft()
                     elif server.dynamic:
-                        user = body.get("messages", [{}, {}])[-1].get("content", "")
                         lp = dynamic_logprob(user)
                         entry = ("json", ok_completion(tokens=[("w", lp)], answer=user[:16]))
                     else:
                         entry = server.default
                 kind, payload = entry
+                if delay is not None:
+                    threading.Event().wait(delay(user))
+                if statuses and user in statuses:
+                    kind, payload = "status", statuses[user]
                 if kind == "hangup":
                     self.close_connection = True
                     return
@@ -106,6 +134,7 @@ class StubServer:
                     self.close_connection = True
 
             def reply(self, status, data):
+                self.uncount()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))

@@ -104,9 +104,13 @@ class TestScore:
             monkeypatch.setenv("SEMSEARCH_API_KEY", "test-key")
             assert run_cli("score", "--scenario", str(FARM_SCENARIO), "--scorer", "llm") == 0
         digest.update(capsys.readouterr().out.encode("utf-8"))
+        # Misses are sent concurrently, so the wire order is not fixed; each
+        # prompt is asked exactly once.
         asked = [body["messages"][-1]["content"] for _, _, body in server.requests]
-        assert asked == [f"I see the following: {label}. Where should I go to find drill?"
-                         for label in farm_cfg.env.labels()]
+        expected = [f"I see the following: {label}. Where should I go to find drill?"
+                    for label in farm_cfg.env.labels()]
+        assert len(asked) == len(expected)
+        assert sorted(asked) == sorted(expected)
         assert digest.hexdigest() == SCORE_DIGEST
 
 
@@ -418,7 +422,8 @@ class TestModuleEntry:
 
     def test_importing_the_cli_loads_no_gateway(self):
         code = ("import sys, semsearch.cli; "
-                "print([m for m in ('semsearch.llm_gateway', 'http.client') if m in sys.modules])")
+                "print([m for m in ('semsearch.llm_gateway', 'http.client', 'concurrent.futures') "
+                "if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code],
                               cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
                               capture_output=True, text=True, timeout=60)
@@ -519,6 +524,42 @@ class TestBench:
         assert run_cli("bench", "--scenario", str(FARM_SCENARIO), "--trials", "2",
                        "--out", str(tmp_path / "table")) == 0
         assert len(built) == 1
+
+    def test_cold_concurrent_llm_bench_matches_warm_rerun(self, tmp_path, monkeypatch, farm_cfg):
+        import semsearch.llm_gateway as gw
+        from semsearch.affinity import SYSTEM_PROMPT, build_prompt
+        from stub_server import StubServer
+
+        cache = tmp_path / "cache.jsonl"
+        outs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with StubServer(dynamic=True, keep_alive=True) as server:
+                monkeypatch.setenv("SEMSEARCH_BASE_URL", server.base_url)
+                for name in ("cold", "warm"):
+                    if name == "warm":
+                        monkeypatch.delenv("SEMSEARCH_API_KEY")
+                    else:
+                        monkeypatch.setenv("SEMSEARCH_API_KEY", "test-key")
+                    out_dir = tmp_path / name
+                    assert run_cli("bench", "--scenario", str(FARM_SCENARIO), "--scorer", "llm",
+                                   "--cache", str(cache), "--trials", "5", "--seed", "7",
+                                   "--out", str(out_dir)) == 0
+                    outs.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
+                    if name == "cold":
+                        cold_requests = len(server.requests)
+                assert len(server.requests) == cold_requests  # the warm run sent none
+                assert server.max_in_flight <= gw.MAX_IN_FLIGHT
+        finally:
+            sys.setswitchinterval(interval)
+        labels = farm_cfg.env.labels()
+        assert cold_requests == len(labels)
+        assert len(outs[0]) == 4
+        assert outs[0] == outs[1]
+        keys = [json.loads(line)["key"] for line in cache.read_text().splitlines()]
+        assert keys == [gw.request_digest(gw.DEFAULT_MODEL, 0.0, SYSTEM_PROMPT,
+                                          build_prompt(label, "drill")) for label in labels]
 
     def test_single_method(self, tmp_path):
         out_dir = tmp_path / "out"

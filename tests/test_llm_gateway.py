@@ -3,6 +3,9 @@ import math
 import multiprocessing
 import os
 import re
+import sys
+import threading
+import time
 from contextlib import closing
 
 import pytest
@@ -21,7 +24,7 @@ from semsearch.llm_gateway import (
     request_digest,
 )
 
-from stub_server import StubServer, no_logprobs_completion, ok_completion
+from stub_server import StubServer, dynamic_logprob, no_logprobs_completion, ok_completion
 
 
 def make_config(base_url, **overrides) -> GatewayConfig:
@@ -202,6 +205,144 @@ class TestTransport:
         with pytest.raises(ValueError, match=re.escape(repr(base_url))):
             LLMGateway(make_config(base_url))
         assert no_sleep == []
+
+
+    def test_counters_of_a_dropping_server(self, no_sleep):
+        with StubServer(dynamic=True, keep_alive=True, drop_after_reply=True) as server:
+            with closing(LLMGateway(make_config(server.base_url))) as gateway:
+                for i in range(10):
+                    gateway.complete(req(user_text=f"prompt number {i}"))
+        assert (gateway.lookups, gateway.hits, gateway.misses) == (10, 0, 10)  # no cache: all miss
+        assert (gateway.posts, gateway.reopens, gateway.connections_opened) == (10, 9, 10)
+
+
+@pytest.fixture()
+def fast_switching():
+    """Switch threads as often as the interpreter allows, so races show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def prompts_for(labels, target="drill"):
+    from semsearch.affinity import build_prompt
+
+    return [build_prompt(label, target) for label in labels]
+
+
+LABELS = [f"label {i:02d}" for i in range(12)]
+
+
+@pytest.mark.usefixtures("fast_switching")
+class TestBatch:
+    """A distribution's misses go out together, at most MAX_IN_FLIGHT at a time."""
+
+    @staticmethod
+    def scorer(base_url, cache=None, **overrides):
+        from semsearch.affinity import LLMScorer
+
+        return LLMScorer(LLMGateway(make_config(base_url, **overrides), cache=cache))
+
+    def test_cold_distribution_overlaps_its_misses(self):
+        from semsearch.affinity import score_distribution
+
+        with StubServer(dynamic=True, keep_alive=True, delay=lambda user: 0.05) as server:
+            scorer = self.scorer(server.base_url)
+            started = time.monotonic()
+            dist = score_distribution(scorer, LABELS, "drill")
+            elapsed = time.monotonic() - started
+            scorer.gateway.close()
+            asked = [body["messages"][-1]["content"] for _, _, body in server.requests]
+            assert server.max_in_flight <= gw.MAX_IN_FLIGHT
+            assert server.connections <= gw.MAX_IN_FLIGHT
+        assert elapsed < len(LABELS) * 0.05 / 2
+        assert sorted(asked) == sorted(prompts_for(LABELS))
+        # each label's raw score is its own prompt's, whatever order replies came in
+        assert list(dist.raw) == LABELS
+        for label, prompt in zip(LABELS, prompts_for(LABELS)):
+            assert dist.raw[label] == math.exp(dynamic_logprob(prompt))
+        gateway = scorer.gateway
+        assert (gateway.lookups, gateway.hits, gateway.misses) == (12, 0, 12)
+        assert gateway.posts == gateway.misses
+        assert gateway.connections_opened <= gw.MAX_IN_FLIGHT
+
+    def test_all_hit_distribution_starts_no_thread_and_opens_no_connection(self, tmp_path,
+                                                                          monkeypatch):
+        from semsearch.affinity import score_distribution
+
+        path = tmp_path / "cache.jsonl"
+        with StubServer(dynamic=True, keep_alive=True) as server:
+            cold = self.scorer(server.base_url, ResponseCache(path))
+            with closing(cold.gateway):
+                cold_dist = score_distribution(cold, LABELS, "drill")
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("an all-hit batch started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(gw, "ThreadPoolExecutor", no_thread)
+        scorer = self.scorer("http://127.0.0.1:1", ResponseCache(path), api_key=None)
+        warm_dist = score_distribution(scorer, LABELS, "drill")
+        assert warm_dist == cold_dist
+        gateway = scorer.gateway
+        assert (gateway.lookups, gateway.hits, gateway.misses) == (12, 12, 0)
+        assert (gateway.posts, gateway.connections_opened) == (0, 0)
+
+    def test_cache_lines_follow_label_order_when_replies_do_not(self, tmp_path):
+        labels = LABELS[:8]
+        prompts = prompts_for(labels)
+        # the first label waits longest, so later labels' replies come back first
+        delay = {prompt: 0.02 * (len(prompts) - i) for i, prompt in enumerate(prompts)}
+        path = tmp_path / "cache.jsonl"
+        requests = [CompletionRequest(system_text="sys", user_text=p, model="stub-model")
+                    for p in prompts]
+        with StubServer(dynamic=True, keep_alive=True, delay=delay.__getitem__) as server:
+            with closing(LLMGateway(make_config(server.base_url),
+                                    cache=ResponseCache(path))) as gateway:
+                results = gateway.complete_all(requests)
+        assert results[0].latency_ms > results[3].latency_ms  # replies arrived out of order
+        assert [r.answer_text for r in results] == [p[:16] for p in prompts]
+        keys = [json.loads(line)["key"] for line in path.read_text().splitlines()]
+        assert keys == [request_digest(r.model, 0.0, r.system_text, r.user_text)
+                        for r in requests]
+
+    def test_rate_limit_holds_across_concurrent_misses(self):
+        rate, burst, n = 20.0, 2, 8
+        with StubServer(dynamic=True, keep_alive=True) as server:
+            with closing(LLMGateway(make_config(server.base_url, requests_per_second=rate,
+                                                burst=burst))) as gateway:
+                started = time.monotonic()
+                gateway.complete_all([req(user_text=f"prompt number {i}") for i in range(n)])
+                elapsed = time.monotonic() - started
+            assert len(server.requests) == n
+        assert elapsed >= (n - burst) / rate
+        assert gateway.posts == gateway.misses == n
+
+    def test_first_failing_label_in_label_order_is_raised_after_in_flight_ends(self, tmp_path):
+        from semsearch.affinity import SYSTEM_PROMPT, ScorerError, score_distribution
+
+        labels = LABELS[:6]
+        prompts = prompts_for(labels)
+        # label 3 fails at once, label 1 later; labels 0 and 2 answer last
+        delay = {prompts[0]: 0.1, prompts[1]: 0.05, prompts[2]: 0.1}
+        path = tmp_path / "cache.jsonl"
+        with StubServer(dynamic=True, keep_alive=True, delay=lambda user: delay.get(user, 0.0),
+                        statuses={prompts[1]: 404, prompts[3]: 404}) as server:
+            scorer = self.scorer(server.base_url, ResponseCache(path))
+            started = time.monotonic()
+            with pytest.raises(ScorerError, match="scorer failed for seen label 'label 01': "
+                                                  "HTTP 404") as caught:
+                score_distribution(scorer, labels, "drill")
+            elapsed = time.monotonic() - started
+            scorer.gateway.close()
+            asked = sorted(body["messages"][-1]["content"] for _, _, body in server.requests)
+        assert isinstance(caught.value.__cause__, gw.GatewayError)
+        assert elapsed >= 0.1  # labels 0 and 2 were still in flight when label 3 failed
+        assert asked == sorted(prompts[:4])  # nothing new was sent after the failure
+        keys = [json.loads(line)["key"] for line in path.read_text().splitlines()]
+        assert keys == [request_digest(gw.DEFAULT_MODEL, 0.0, SYSTEM_PROMPT, prompts[i])
+                        for i in (0, 2)]
 
 
 class TestCache:
